@@ -5,7 +5,6 @@ and point masses."""
 
 from .decompose import (
     AtomicDecomposition,
-    AtomicDecomposition0,
     BoundReport,
     TermBoundCheck,
     TruncationCoverageError,
@@ -63,6 +62,7 @@ from .solver import (
     DualPotential,
     DuplicatePointError,
     EmptyPotentialError,
+    LPSolveError,
     NormResult,
     TransportEdge,
     TransportPlan,
@@ -73,6 +73,7 @@ from .solver import (
     lip_norm,
     lipschitz_seminorm,
     mcshane_extend,
+    variant_norm,
 )
 
 __version__ = "0.1.0"

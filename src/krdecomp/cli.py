@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .decompose import (
     AtomicDecomposition,
-    AtomicDecomposition0,
     decompose_balanced,
     decompose_full,
     decompose_l1_minimal,
@@ -29,14 +30,14 @@ from .measures import (
     measure_to_json,
 )
 from .oracle import oracle_kr, oracle_kr0
-from .solver import GAP_TOL, NormResult, kr0_norm, kr_norm
+from .solver import GAP_TOL, LPSolveError, NormResult, variant_norm
 
 OK, INPUT_ERROR, VERIFY_FAIL = 0, 1, 2
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, code: int = INPUT_ERROR) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return INPUT_ERROR
+    return code
 
 
 def _load_measure(path: str) -> DiscreteSignedMeasure:
@@ -102,7 +103,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     try:
-        result = kr0_norm(m, args.tol) if args.variant == "kr0" else kr_norm(m, args.tol)
+        result = variant_norm(args.variant, m)
     except ValueError as exc:
         return _fail(str(exc))
     emit = set(filter(None, (args.emit or "").split(",")))
@@ -116,34 +117,44 @@ def cmd_norm(args: argparse.Namespace) -> int:
     return OK if result.gap <= args.tol else VERIFY_FAIL
 
 
-def _dec_to_doc(dec, ratio: float) -> dict:
+def _dec_to_doc(dec: AtomicDecomposition) -> dict:
     return {
-        "variant": "kr0" if isinstance(dec, AtomicDecomposition0) else "kr",
+        "variant": dec.variant,
         "method": dec.method,
         "offset": dec.family.offset,
-        "offset_label": dec.family.offset_label,
         "terms": [list(t) for t in dec.terms],
         "l1": dec.l1,
         "residual_norm": dec.residual_norm,
-        "ratio": ratio,
+        "ratio": dec.ratio,
     }
 
 
-def _dec_from_doc(doc: dict, m: DiscreteSignedMeasure):
+def _term_from_doc(i: int, term, variant: str) -> tuple[int, float, float]:
+    try:
+        # older files store kr0 terms as [j, a1]
+        j, a1, a2 = (*term, 0.0)[:3] if variant == "kr0" else term
+        parsed = (int(j), float(a1), float(a2))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"decomposition term #{i} is not [j, a1, a2]") from exc
+    if variant == "kr0" and parsed[2] != 0.0:
+        raise ValueError(f"decomposition term #{i} has a point mass in a kr0 file")
+    return parsed
+
+
+def _dec_from_doc(doc: dict, m: DiscreteSignedMeasure) -> AtomicDecomposition:
+    """The file's terms, l1 and stated residual; its norm is left unknown
+    (NaN) for the caller to solve."""
     for field in ("variant", "terms", "l1", "residual_norm"):
         if field not in doc:
             raise ValueError(f"decomposition file missing field '{field}'")
+    variant = doc["variant"]
+    if variant not in ("kr0", "kr"):
+        raise ValueError("field 'variant' must be 'kr0' or 'kr'")
     cfg = FamilyConfig(m.domain, doc.get("offset", DEFAULT_OFFSET))
-    if doc["variant"] == "kr0":
-        terms0 = tuple((int(t[0]), float(t[1])) for t in doc["terms"])
-        return AtomicDecomposition0(
-            cfg, terms0, float(doc["l1"]), float(doc["residual_norm"]), m,
-            doc.get("method", "greedy"),
-        )
-    terms = tuple((int(t[0]), float(t[1]), float(t[2])) for t in doc["terms"])
+    terms = tuple(_term_from_doc(i, t, variant) for i, t in enumerate(doc["terms"]))
     return AtomicDecomposition(
-        cfg, terms, float(doc["l1"]), float(doc["residual_norm"]), m,
-        doc.get("method", "greedy"),
+        cfg, variant, terms, float(doc["l1"]), float(doc["residual_norm"]), math.nan,
+        m, doc.get("method", "greedy"),
     )
 
 
@@ -162,9 +173,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             dec = decompose_full(m, args.tol, cfg, args.min_depth)
     except ValueError as exc:
         return _fail(str(exc))
-    norm = kr0_norm(m).value if args.variant == "kr0" else kr_norm(m).value
-    ratio = norm / dec.l1 if dec.l1 > 0 else 1.0
-    _write_out(json.dumps(_dec_to_doc(dec, ratio), indent=2) + "\n", args.out)
+    _write_out(json.dumps(_dec_to_doc(dec), indent=2) + "\n", args.out)
     return OK
 
 
@@ -173,23 +182,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         m = _load_measure(args.input)
         doc = json.loads(Path(args.dec).read_text())
         dec = _dec_from_doc(doc, m)
+        fresh = variant_norm(dec.variant, m - reconstruct(dec)).value
     except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    is_kr0 = isinstance(dec, AtomicDecomposition0)
-    try:
-        fresh = (
-            kr0_norm(m - reconstruct(dec)).value
-            if is_kr0
-            else kr_norm(m - reconstruct(dec)).value
-        )
-    except ValueError as exc:
         return _fail(str(exc))
     if fresh > dec.residual_norm + max(args.tol, 1e-6):
         return _fail(
             f"decomposition does not match the measure: certified residual "
             f"{fresh:.3e} exceeds the stated {dec.residual_norm:.3e}"
         )
-    dec = type(dec)(dec.family, dec.terms, dec.l1, fresh, m, dec.method)
+    # neither number is taken from the file: both are solved here
+    dec = replace(dec, residual_norm=fresh, norm=variant_norm(dec.variant, m).value)
     report = verify_bounds(
         m, dec, args.tol, ratio_floor=args.ratio_floor, check_terms=args.check_terms
     )
@@ -324,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LPSolveError as exc:
+        return _fail(str(exc), VERIFY_FAIL)
 
 
 if __name__ == "__main__":

@@ -6,17 +6,17 @@ onto a family dipole, and the snap errors telescope down the dyadic
 depths until the certified residual is below tolerance.  A general
 measure additionally receives one point-mass coefficient per support
 atom.  An exact alternative solves the l1-minimal coefficient program on
-a truncated family.  Verification re-solves norms from scratch, checks
-the two-sided norm-vs-l1 bounds, the per-term lower bound with its
-explicit Lipschitz witness, and the invariance of the point-mass
-coefficient sum.
+a truncated family.  Every construction ends in one record type whose
+residual is certified by a fresh norm solve.  Verification checks the
+norm-vs-l1 upper bound, the per-term lower bound with its explicit
+Lipschitz witness, and the invariance of the point-mass coefficient sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,13 +30,12 @@ from .family import (
     snap_radius,
 )
 from .measures import DiscreteSignedMeasure, Point, euclidean
-from .solver import kr0_norm, kr_norm, lip_norm, _solve_lp
+from .solver import NormResult, kr0_norm, kr_norm, lip_norm, variant_norm, _solve_lp
 
 _DEPTH_CAP = 60
 _CHAIN_FRACTION = 0.45  # portion of the tolerance spent by chain leftovers
 
 __all__ = [
-    "AtomicDecomposition0",
     "AtomicDecomposition",
     "BoundReport",
     "TermBoundCheck",
@@ -58,33 +57,47 @@ class TruncationCoverageError(ValueError):
 
 
 @dataclass(frozen=True)
-class AtomicDecomposition0:
-    """Dipole-only decomposition of a balanced measure: terms (j, alpha)."""
-
-    family: FamilyConfig
-    terms: tuple[tuple[int, float], ...]
-    l1: float
-    residual_norm: float
-    target: DiscreteSignedMeasure
-    method: str
-
-
-@dataclass(frozen=True)
 class AtomicDecomposition:
-    """Dipole + point-mass decomposition: terms (j, alpha1, alpha2)."""
+    """Terms (j, alpha1, alpha2) standing for alpha1 * dipole_j +
+    alpha2 * delta_{x_j}; the balanced variant ``kr0`` has alpha2 == 0.
+
+    ``norm`` is the target's norm and ``residual_norm`` the norm of the
+    target minus the reconstruction, both in the record's variant."""
 
     family: FamilyConfig
+    variant: str
     terms: tuple[tuple[int, float, float], ...]
     l1: float
     residual_norm: float
+    norm: float
     target: DiscreteSignedMeasure
     method: str
+
+    @property
+    def ratio(self) -> float:
+        """||target|| / l1, or 1.0 for an empty decomposition."""
+        return self.norm / self.l1 if self.l1 > 0 else 1.0
 
     def sum_alpha2(self) -> float:
         return math.fsum(t[2] for t in self.terms)
 
 
-Decomposition = Union[AtomicDecomposition0, AtomicDecomposition]
+def _certified(
+    m: DiscreteSignedMeasure,
+    variant: str,
+    terms: tuple[tuple[int, float, float], ...],
+    cfg: FamilyConfig,
+    method: str,
+    norm: Optional[float] = None,
+) -> AtomicDecomposition:
+    """The record for new terms of m, its residual certified by a fresh
+    solve against m - reconstruct(dec); ``norm`` is ||m|| when the caller
+    has already solved it."""
+    if norm is None:
+        norm = variant_norm(variant, m).value
+    l1 = math.fsum(abs(a1) + abs(a2) for _, a1, a2 in terms)
+    dec = AtomicDecomposition(cfg, variant, terms, l1, math.inf, norm, m, method)
+    return replace(dec, residual_norm=variant_norm(variant, m - reconstruct(dec)).value)
 
 
 @dataclass(frozen=True)
@@ -120,12 +133,12 @@ class _AtomSink:
         j = pair_index(x.index, y.index)
         self.parts.setdefault(j, []).append(c * euclidean(x.coords, y.coords))
 
-    def terms(self) -> tuple[tuple[int, float], ...]:
+    def terms(self) -> tuple[tuple[int, float, float], ...]:
         out = []
         for j in sorted(self.parts):
             a = math.fsum(self.parts[j])
             if a != 0.0:
-                out.append((j, a))
+                out.append((j, a, 0.0))
         return tuple(out)
 
 
@@ -195,22 +208,13 @@ def _edge_chains(
     return [lo for lo in leftovers if lo is not None]
 
 
-def decompose_balanced(
-    m: DiscreteSignedMeasure,
-    tol: float,
-    cfg: FamilyConfig,
-    min_depth: int = 0,
-) -> AtomicDecomposition0:
-    """Dipole decomposition of a balanced measure with certified residual.
-
-    Solves the optimal transport of m, snaps every plan edge onto a family
-    dipole and telescopes the snap errors to deeper grids; stops once the
-    bookkept leftover cost is below tol, then certifies the actual residual
-    with a fresh norm solve.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    base = kr0_norm(m)
+def _greedy_dipoles(
+    base: NormResult, tol: float, cfg: FamilyConfig, min_depth: int
+) -> tuple[tuple[int, float, float], ...]:
+    """Dipole terms of the balanced measure whose optimal transport is
+    ``base``: every plan edge is snapped onto a family dipole and its snap
+    errors telescope to deeper grids until the bookkept leftover cost is
+    below tol."""
     sink = _AtomSink()
     if base.value > 0.0:
         edge_costs = [e.cost() for e in base.plan.edges]
@@ -218,17 +222,25 @@ def decompose_balanced(
         for e, ec in zip(base.plan.edges, edge_costs):
             budget = _CHAIN_FRACTION * tol * ec / total
             _edge_chains(e.target, e.source, e.mass, budget, cfg, sink, min_depth)
-    terms = sink.terms()
-    dec = AtomicDecomposition0(
-        family=cfg,
-        terms=terms,
-        l1=math.fsum(abs(a) for _, a in terms),
-        residual_norm=0.0,
-        target=m,
-        method="greedy",
-    )
-    residual = kr0_norm(m - reconstruct(dec)).value
-    return AtomicDecomposition0(cfg, terms, dec.l1, residual, m, "greedy")
+    return sink.terms()
+
+
+def decompose_balanced(
+    m: DiscreteSignedMeasure,
+    tol: float,
+    cfg: FamilyConfig,
+    min_depth: int = 0,
+) -> AtomicDecomposition:
+    """Dipole decomposition of a balanced measure with certified residual.
+
+    Solves the optimal transport of m, covers its plan with family dipoles
+    and certifies the actual residual with a fresh norm solve.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    base = kr0_norm(m)
+    terms = _greedy_dipoles(base, tol, cfg, min_depth)
+    return _certified(m, "kr0", terms, cfg, "greedy", norm=base.value)
 
 
 def decompose_full(
@@ -241,8 +253,8 @@ def decompose_full(
 
     Each support atom is swapped onto a nearby d1 grid point carrying its
     full weight as a point-mass coefficient; the swap error is a balanced
-    measure handed to :func:`decompose_balanced`.  The point-mass
-    coefficients therefore sum to the total mass of m exactly.
+    measure covered by greedy dipoles at half the tolerance.  The
+    point-mass coefficients therefore sum to the total mass of m exactly.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -261,27 +273,14 @@ def decompose_full(
             swap_atoms.append((p, w))
             swap_atoms.append((x.coords, -w))
     swap = DiscreteSignedMeasure.from_atoms(m.domain, swap_atoms)
-    dec0 = decompose_balanced(swap, tol / 2.0, cfg, min_depth)
-    merged: dict[int, tuple[float, float]] = {
-        j: (a, 0.0) for j, a in dec0.terms
-    }
+    dipoles = _greedy_dipoles(kr0_norm(swap), tol / 2.0, cfg, min_depth)
+    merged = {j: [a1, 0.0] for j, a1, _ in dipoles}
     for j, parts in alpha2.items():
-        a2 = math.fsum(parts)
-        a1 = merged.get(j, (0.0, 0.0))[0]
-        merged[j] = (a1, a2)
+        merged.setdefault(j, [0.0, 0.0])[1] = math.fsum(parts)
     terms = tuple(
         (j, a1, a2) for j, (a1, a2) in sorted(merged.items()) if (a1, a2) != (0.0, 0.0)
     )
-    dec = AtomicDecomposition(
-        family=cfg,
-        terms=terms,
-        l1=math.fsum(abs(a1) + abs(a2) for _, a1, a2 in terms),
-        residual_norm=0.0,
-        target=m,
-        method="greedy",
-    )
-    residual = kr_norm(m - reconstruct(dec)).value
-    return AtomicDecomposition(cfg, terms, dec.l1, residual, m, "greedy")
+    return _certified(m, "kr", terms, cfg, "greedy")
 
 
 # -- l1-minimal construction ----------------------------------------------
@@ -292,7 +291,7 @@ def decompose_l1_minimal(
     truncation: int,
     variant: str,
     cfg: FamilyConfig,
-) -> Decomposition:
+) -> AtomicDecomposition:
     """Exact minimum-l1 coefficients over atoms with pair index <= truncation.
 
     Solves min sum|alpha| subject to the combination matching m atom by
@@ -306,9 +305,7 @@ def decompose_l1_minimal(
     if variant == "kr0" and not m.is_balanced(1e-10):
         raise ValueError("balanced variant needs a balanced measure")
     if not m.atoms:
-        if variant == "kr0":
-            return AtomicDecomposition0(cfg, (), 0.0, 0.0, m, "l1_minimal")
-        return AtomicDecomposition(cfg, (), 0.0, 0.0, m, "l1_minimal")
+        return _certified(m, variant, (), cfg, "l1_minimal")
     pairs = [family_pair(j, cfg) for j in range(1, truncation + 1)]
     covered: set[Point] = set()
     for pair in pairs:
@@ -326,14 +323,14 @@ def decompose_l1_minimal(
         return point_rows.setdefault(p, len(point_rows))
 
     cols: list[list[tuple[int, float]]] = []
-    col_term: list[tuple[int, int]] = []  # (pair index, 1=dipole | 2=delta)
+    col_term: list[tuple[int, int]] = []  # (pair index, 0=dipole | 1=delta)
     for pair in pairs:
         w = 1.0 / pair.separation
         cols.append([(row_of(pair.x.coords), w), (row_of(pair.y.coords), -w)])
-        col_term.append((pair.index, 1))
+        col_term.append((pair.index, 0))
         if variant == "kr":
             cols.append([(row_of(pair.x.coords), 1.0)])
-            col_term.append((pair.index, 2))
+            col_term.append((pair.index, 1))
 
     nrows, ncols = len(point_rows), len(cols)
     b = np.zeros(nrows)
@@ -355,57 +352,41 @@ def decompose_l1_minimal(
         ) from exc
     alpha = [float(v) for v in res.x[:ncols] - res.x[ncols:]]
 
-    if variant == "kr0":
-        terms0: dict[int, float] = {}
-        for (j, _), a in zip(col_term, alpha):
-            if a != 0.0:
-                terms0[j] = terms0.get(j, 0.0) + a
-        t0 = tuple(sorted(terms0.items()))
-        dec0 = AtomicDecomposition0(
-            cfg, t0, math.fsum(abs(a) for _, a in t0), 0.0, m, "l1_minimal"
-        )
-        residual = kr0_norm(m - reconstruct(dec0)).value
-        return AtomicDecomposition0(cfg, t0, dec0.l1, residual, m, "l1_minimal")
-
-    terms2: dict[int, list[float]] = {}
+    coeffs: dict[int, list[float]] = {}
     for (j, slot), a in zip(col_term, alpha):
         if a != 0.0:
-            pair_vals = terms2.setdefault(j, [0.0, 0.0])
-            pair_vals[slot - 1] += a
-    t2 = tuple((j, v[0], v[1]) for j, v in sorted(terms2.items()))
-    dec = AtomicDecomposition(
-        cfg,
-        t2,
-        math.fsum(abs(a1) + abs(a2) for _, a1, a2 in t2),
-        0.0,
-        m,
-        "l1_minimal",
-    )
-    residual = kr_norm(m - reconstruct(dec)).value
-    return AtomicDecomposition(cfg, t2, dec.l1, residual, m, "l1_minimal")
+            coeffs.setdefault(j, [0.0, 0.0])[slot] += a
+    terms = tuple((j, a1, a2) for j, (a1, a2) in sorted(coeffs.items()))
+    return _certified(m, variant, terms, cfg, "l1_minimal")
 
 
 # -- reconstruction and verification ---------------------------------------
 
 
-def reconstruct(dec: Decomposition, prefix: Optional[int] = None) -> DiscreteSignedMeasure:
+def _term_atoms(
+    j: int, alpha1: float, alpha2: float, cfg: FamilyConfig
+) -> list[tuple[Point, float]]:
+    """Atoms of alpha1 * dipole_j + alpha2 * delta_{x_j}."""
+    pair = family_pair(j, cfg)
+    atoms = []
+    if alpha1 != 0.0:
+        w = alpha1 / pair.separation
+        atoms += [(pair.x.coords, w), (pair.y.coords, -w)]
+    if alpha2 != 0.0:
+        atoms.append((pair.x.coords, alpha2))
+    return atoms
+
+
+def reconstruct(
+    dec: AtomicDecomposition, prefix: Optional[int] = None
+) -> DiscreteSignedMeasure:
     """Partial sum of the first ``prefix`` terms (all terms by default)."""
     terms = dec.terms
     if prefix is not None:
         if prefix < 0 or prefix > len(terms):
             raise ValueError("prefix out of range")
         terms = terms[:prefix]
-    atoms: list[tuple[Point, float]] = []
-    for term in terms:
-        pair = family_pair(term[0], dec.family)
-        a1 = term[1]
-        a2 = term[2] if len(term) == 3 else 0.0
-        if a1 != 0.0:
-            w = a1 / pair.separation
-            atoms.append((pair.x.coords, w))
-            atoms.append((pair.y.coords, -w))
-        if a2 != 0.0:
-            atoms.append((pair.x.coords, a2))
+    atoms = [a for j, a1, a2 in terms for a in _term_atoms(j, a1, a2, dec.family)]
     return DiscreteSignedMeasure.from_atoms(dec.target.domain, atoms)
 
 
@@ -443,14 +424,7 @@ def term_measure(
     j: int, alpha1: float, alpha2: float, cfg: FamilyConfig
 ) -> DiscreteSignedMeasure:
     """The measure alpha1 * dipole_j + alpha2 * delta_{x_j}."""
-    pair = family_pair(j, cfg)
-    atoms = []
-    if alpha1 != 0.0:
-        w = alpha1 / pair.separation
-        atoms += [(pair.x.coords, w), (pair.y.coords, -w)]
-    if alpha2 != 0.0:
-        atoms.append((pair.x.coords, alpha2))
-    return DiscreteSignedMeasure.from_atoms(cfg.domain, atoms)
+    return DiscreteSignedMeasure.from_atoms(cfg.domain, _term_atoms(j, alpha1, alpha2, cfg))
 
 
 def verify_term_lower_bound(
@@ -480,46 +454,34 @@ def verify_term_lower_bound(
     return TermBoundCheck(lhs, rhs, lhs >= rhs - 1e-9, pairing, witness_lip)
 
 
-def _norm_for(dec: Decomposition, m: DiscreteSignedMeasure) -> float:
-    if isinstance(dec, AtomicDecomposition0):
-        return kr0_norm(m).value
-    return kr_norm(m).value
-
-
 def verify_bounds(
     m: DiscreteSignedMeasure,
-    dec: Decomposition,
+    dec: AtomicDecomposition,
     tol: float,
     ratio_floor: Optional[float] = None,
     check_terms: int = 0,
 ) -> BoundReport:
     """Upper bound  ||m|| <= l1 + residual + tol  plus the empirical ratio
-    ||m|| / l1; optionally re-checks the per-term lower bound on the
-    ``check_terms`` largest terms and, for l1-minimal decompositions, the
-    requested ratio floor."""
+    ||m|| / l1, read from the record; optionally re-checks the per-term
+    lower bound on the ``check_terms`` largest terms and, for l1-minimal
+    decompositions, the requested ratio floor."""
     if dec.target != m:
         raise ValueError("decomposition was produced for a different measure")
-    norm = _norm_for(dec, m)
-    upper_ok = norm <= dec.l1 + dec.residual_norm + tol
-    ratio = norm / dec.l1 if dec.l1 > 0 else 1.0
+    upper_ok = dec.norm <= dec.l1 + dec.residual_norm + tol
     per_term: Optional[bool] = None
     if check_terms > 0 and dec.terms:
-        def weight(term) -> float:
-            return abs(term[1]) + (abs(term[2]) if len(term) == 3 else 0.0)
-
-        largest = sorted(dec.terms, key=weight, reverse=True)[:check_terms]
-        per_term = True
-        for term in largest:
-            a1 = term[1]
-            a2 = term[2] if len(term) == 3 else 0.0
-            if a1 == 0.0 and a2 == 0.0:
-                continue
-            chk = verify_term_lower_bound(term[0], a1, a2, dec.family)
-            per_term = per_term and chk.ok
+        largest = sorted(dec.terms, key=lambda t: abs(t[1]) + abs(t[2]), reverse=True)
+        per_term = all(
+            verify_term_lower_bound(j, a1, a2, dec.family).ok
+            for j, a1, a2 in largest[:check_terms]
+            if (a1, a2) != (0.0, 0.0)
+        )
     floor_ok: Optional[bool] = None
     if ratio_floor is not None and dec.method == "l1_minimal":
-        floor_ok = ratio >= ratio_floor
-    return BoundReport(norm, dec.l1, dec.residual_norm, upper_ok, ratio, per_term, floor_ok)
+        floor_ok = dec.ratio >= ratio_floor
+    return BoundReport(
+        dec.norm, dec.l1, dec.residual_norm, upper_ok, dec.ratio, per_term, floor_ok
+    )
 
 
 def mass_identity_check(

@@ -52,7 +52,6 @@ class FamilyConfig:
 
     domain: Domain
     offset: float = DEFAULT_OFFSET
-    offset_label: str = "sqrt(2)-1"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.offset < 1.0:

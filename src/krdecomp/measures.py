@@ -55,6 +55,8 @@ class Domain:
             raise ValueError("lo and hi must be nonempty and of equal length")
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        if not all(map(math.isfinite, self.lo + self.hi)):
+            raise ValueError("box bounds must be finite")
         for a, b in zip(self.lo, self.hi):
             if not a < b:
                 raise ValueError(f"need lo < hi per axis, got [{a}, {b}]")
@@ -102,9 +104,16 @@ def _canonical_atoms(
     The default threshold keeps every nonzero weight so total-variation
     identities stay exact."""
     buckets: dict[Point, list[float]] = {}
-    for point, weight in atoms:
-        p = domain.require_member(point)
-        buckets.setdefault(p, []).append(float(weight))
+    for i, (point, weight) in enumerate(atoms):
+        w = float(weight)
+        if not math.isfinite(w):
+            raise ValueError(f"atom #{i} has non-finite weight {w}")
+        try:
+            # the box is finite, so this also rejects non-finite coordinates
+            p = domain.require_member(point)
+        except DomainMembershipError as exc:
+            raise DomainMembershipError(f"atom #{i} {exc}") from None
+        buckets.setdefault(p, []).append(w)
     merged = []
     for p in sorted(buckets):
         w = math.fsum(buckets[p])
@@ -163,13 +172,6 @@ class DiscreteSignedMeasure:
             positive=DiscreteSignedMeasure(self.domain, pos),
             negative=DiscreteSignedMeasure(self.domain, neg),
         )
-
-    def weight_at(self, point: Sequence[float]) -> float:
-        p = tuple(float(x) for x in point)
-        for q, w in self.atoms:
-            if q == p:
-                return w
-        return 0.0
 
     def scaled(self, factor: float) -> "DiscreteSignedMeasure":
         return DiscreteSignedMeasure.from_atoms(
@@ -231,6 +233,8 @@ def measure_from_json(text: str) -> DiscreteSignedMeasure:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("measure file must hold a JSON object")
     for field in ("dim", "lo", "hi", "atoms"):
         if field not in doc:
             raise ValueError(f"measure file missing field '{field}'")
@@ -243,9 +247,16 @@ def measure_from_json(text: str) -> DiscreteSignedMeasure:
     domain = Domain(tuple(lo), tuple(hi))
     atoms = []
     for i, entry in enumerate(doc["atoms"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"atom #{i} must be an object with 'point' and 'weight'")
         if "point" not in entry or "weight" not in entry:
             raise ValueError(f"atom #{i} missing 'point' or 'weight'")
-        if len(entry["point"]) != dim:
+        try:
+            point = tuple(float(x) for x in entry["point"])
+            weight = float(entry["weight"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"atom #{i} has a non-numeric point or weight") from exc
+        if len(point) != dim:
             raise ValueError(f"atom #{i} point has wrong dimension")
-        atoms.append((tuple(entry["point"]), float(entry["weight"])))
+        atoms.append((point, weight))
     return DiscreteSignedMeasure.from_atoms(domain, atoms)

@@ -21,8 +21,7 @@ from scipy.optimize import linprog
 
 from .measures import DiscreteSignedMeasure, Point, euclidean
 
-# Defaults: LP feasibility floor, accepted duality gap, balance pre-check.
-FEASIBILITY_TOL = 1e-12
+# Defaults: accepted duality gap, balance pre-check.
 GAP_TOL = 1e-8
 MASS_BALANCE_TOL = 1e-10
 
@@ -30,6 +29,7 @@ _EDGE_FLOOR = 1e-14
 
 __all__ = [
     "BalanceViolationError",
+    "LPSolveError",
     "EmptyPotentialError",
     "DuplicatePointError",
     "TransportEdge",
@@ -40,6 +40,7 @@ __all__ = [
     "kr_norm",
     "kr0_dual",
     "kr_dual",
+    "variant_norm",
     "mcshane_extend",
     "lipschitz_seminorm",
     "lip_norm",
@@ -50,6 +51,10 @@ __all__ = [
 
 class BalanceViolationError(ValueError):
     """Balanced-norm input has nonzero total mass beyond tolerance."""
+
+
+class LPSolveError(RuntimeError):
+    """HiGHS ended without an optimal solution."""
 
 
 class EmptyPotentialError(ValueError):
@@ -93,10 +98,10 @@ class TransportPlan:
                 net[e.target] = net.get(e.target, 0.0) + e.mass
             if e.source is not None:
                 net[e.source] = net.get(e.source, 0.0) - e.mass
-        worst = 0.0
-        for p, flow in net.items():
-            worst = max(worst, abs(flow - m.weight_at(p)))
-        return worst
+        weights = dict(m.atoms)
+        return max(
+            (abs(flow - weights.get(p, 0.0)) for p, flow in net.items()), default=0.0
+        )
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def _solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=None):
         method="highs-ds",
     )
     if res.status != 0:
-        raise RuntimeError(f"LP solve failed (status {res.status}): {res.message}")
+        raise LPSolveError(f"LP solve failed (status {res.status}): {res.message}")
     return res
 
 
@@ -326,7 +331,7 @@ def _plan_from_flow(
     return TransportPlan(tuple(edges))
 
 
-def kr0_norm(m: DiscreteSignedMeasure, tol: float = GAP_TOL) -> NormResult:
+def kr0_norm(m: DiscreteSignedMeasure) -> NormResult:
     """Balanced Kantorovich-Rubinstein norm: optimal transport cost between
     the negative and positive parts, with plan and Lipschitz witness."""
     if not m.is_balanced(MASS_BALANCE_TOL):
@@ -346,11 +351,11 @@ def kr0_norm(m: DiscreteSignedMeasure, tol: float = GAP_TOL) -> NormResult:
     plan = _plan_from_flow(
         neg.support, pos.support, flow, destroyed, created, m.total_variation()
     )
-    dual_value, witness = kr0_dual(m, tol)
+    dual_value, witness = kr0_dual(m)
     return NormResult(value, plan, witness, abs(value - dual_value))
 
 
-def kr_norm(m: DiscreteSignedMeasure, tol: float = GAP_TOL) -> NormResult:
+def kr_norm(m: DiscreteSignedMeasure) -> NormResult:
     """Extended Kantorovich-Rubinstein norm: transport with a bank node that
     creates/destroys mass at unit cost, so unmatched mass pays 1 per unit."""
     if not m.atoms:
@@ -363,11 +368,17 @@ def kr_norm(m: DiscreteSignedMeasure, tol: float = GAP_TOL) -> NormResult:
     plan = _plan_from_flow(
         neg.support, pos.support, flow, destroyed, created, m.total_variation()
     )
-    dual_value, witness = kr_dual(m, tol)
+    dual_value, witness = kr_dual(m)
     return NormResult(value, plan, witness, abs(value - dual_value))
 
 
-def kr0_dual(m: DiscreteSignedMeasure, tol: float = GAP_TOL) -> tuple[float, DualPotential]:
+def variant_norm(variant: str, m: DiscreteSignedMeasure) -> NormResult:
+    """The norm named by a variant: ``kr0`` (balanced) or ``kr`` (extended)."""
+    # resolved per call, so a rebound kr0_norm / kr_norm is the one called
+    return {"kr0": kr0_norm, "kr": kr_norm}[variant](m)
+
+
+def kr0_dual(m: DiscreteSignedMeasure) -> tuple[float, DualPotential]:
     """Dual of the balanced norm: maximize the pairing over potentials that
     are 1-Lipschitz on the support."""
     if not m.is_balanced(MASS_BALANCE_TOL):
@@ -381,7 +392,7 @@ def kr0_dual(m: DiscreteSignedMeasure, tol: float = GAP_TOL) -> tuple[float, Dua
     return witness.pair_with(m), witness
 
 
-def kr_dual(m: DiscreteSignedMeasure, tol: float = GAP_TOL) -> tuple[float, DualPotential]:
+def kr_dual(m: DiscreteSignedMeasure) -> tuple[float, DualPotential]:
     """Dual of the extended norm: additionally caps the witness at |f| <= 1."""
     if not m.atoms:
         return 0.0, DualPotential((), (), 0.0, 0.0)

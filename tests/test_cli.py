@@ -170,3 +170,124 @@ def test_gen_output_accepted_by_norm(tmp_path, capsys):
                      "--variant", "kr0"])
         assert code == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "atoms, index",
+    [
+        ('[{"point": [0.2], "weight": NaN}, {"point": [0.7], "weight": 1.0}]', 0),
+        ('[{"point": [0.7], "weight": 1.0}, {"point": [0.2], "weight": Infinity}]', 1),
+        ("[5]", 0),
+    ],
+    ids=["nan-weight", "infinite-weight", "non-object-atom"],
+)
+def test_norm_bad_atom_is_input_error(tmp_path, capsys, atoms, index):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 1, "lo": [0], "hi": [1], "atoms": %s}' % atoms)
+    assert main(["norm", "--input", str(path), "--variant", "kr"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: atom #{index} ") and "Traceback" not in err
+
+
+def _greedy_file(tmp_path, capsys, variant):
+    import random
+    from conftest import random_measure
+
+    m = random_measure(random.Random(11), DOM2, 5, balanced=variant == "kr0")
+    mpath = write_measure(tmp_path, "m.json", m)
+    dpath = str(tmp_path / "dec.json")
+    assert main(["decompose", "--input", mpath, "--variant", variant,
+                 "--tol", "1e-4", "--out", dpath]) == 0
+    capsys.readouterr()
+    return mpath, dpath
+
+
+@pytest.fixture
+def norm_solves(monkeypatch):
+    """Every kr0_norm / kr_norm call as (name, measure), wherever bound."""
+    import sys
+
+    import krdecomp.solver
+
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("krdecomp.")]
+    calls = []
+    for name in ("kr0_norm", "kr_norm"):
+        original = getattr(krdecomp.solver, name)
+
+        def counted(m, _original=original, _name=name):
+            calls.append((_name, m))
+            return _original(m)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant, solves", [("kr0", 2), ("kr", 3)])
+def test_greedy_decompose_norm_solves(tmp_path, capsys, norm_solves, variant, solves):
+    _greedy_file(tmp_path, capsys, variant)
+    assert len(norm_solves) == solves
+    assert len(set(norm_solves)) == solves  # no measure is solved twice
+
+
+@pytest.mark.parametrize("variant", ["kr0", "kr"])
+def test_l1_decompose_norm_solves(tmp_path, capsys, norm_solves, variant):
+    from krdecomp import delta_atom
+
+    mpath = write_measure(tmp_path, "atom.json", delta_atom(5, FamilyConfig(DOM2)).measure)
+    assert main(["decompose", "--input", mpath, "--variant", variant,
+                 "--method", "l1", "--truncate", "8"]) == 0
+    capsys.readouterr()
+    assert len(norm_solves) == len(set(norm_solves)) == 2
+
+
+@pytest.mark.parametrize("variant", ["kr0", "kr"])
+def test_verify_norm_solves(tmp_path, capsys, norm_solves, variant):
+    mpath, dpath = _greedy_file(tmp_path, capsys, variant)
+    norm_solves.clear()
+    assert main(["verify", "--input", mpath, "--dec", dpath, "--check-terms", "3"]) == 0
+    capsys.readouterr()
+    assert len(norm_solves) == len(set(norm_solves)) == 2 + 3
+
+
+def test_verify_accepts_pair_terms_and_offset_label(tmp_path, capsys):
+    # kr0 files written before terms carried a point-mass slot
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr0")
+    dec = tmp_path / "dec.json"
+    doc = json.loads(dec.read_text())
+    doc["terms"] = [[j, a1] for j, a1, _ in doc["terms"]]
+    doc["offset_label"] = "sqrt(2)-1"
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", "--input", mpath, "--dec", dpath]) == 0
+    assert json.loads(capsys.readouterr().out)["upper_ok"] is True
+
+
+def test_verify_rejects_point_mass_in_kr0_file(tmp_path, capsys):
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr0")
+    dec = tmp_path / "dec.json"
+    doc = json.loads(dec.read_text())
+    doc["terms"][0][2] = 0.5
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", "--input", mpath, "--dec", dpath]) == 1
+    assert "term #0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["norm", "decompose", "verify"])
+def test_solver_failure_exits_two(tmp_path, capsys, monkeypatch, command):
+    from types import SimpleNamespace
+
+    import krdecomp.solver
+
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
+    argv = {
+        "norm": ["norm", "--input", mpath, "--variant", "kr"],
+        "decompose": ["decompose", "--input", mpath, "--variant", "kr"],
+        "verify": ["verify", "--input", mpath, "--dec", dpath],
+    }[command]
+    failed = SimpleNamespace(status=4, message="numerical difficulties", x=None, fun=None)
+    monkeypatch.setattr(krdecomp.solver, "linprog", lambda *a, **k: failed)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: LP solve failed (status 4)")
+    assert len(err.splitlines()) == 1

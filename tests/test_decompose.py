@@ -46,9 +46,10 @@ def test_balanced_identity_scaled_atom():
     m = atom.measure.scaled(0.7)
     dec = decompose_balanced(m, 1e-6, CFG2)
     assert len(dec.terms) == 1
-    j, alpha = dec.terms[0]
+    j, alpha, alpha2 = dec.terms[0]
     assert j == 5
     assert alpha == pytest.approx(0.7, abs=1e-12)
+    assert alpha2 == 0.0
     assert dec.residual_norm <= 1e-12
     assert dec.l1 == pytest.approx(0.7, abs=1e-12)
 
@@ -56,7 +57,7 @@ def test_balanced_identity_scaled_atom():
 def test_balanced_reversed_atom_single_term():
     atom = delta_atom(2 * 5 - 1, CFG2)
     dec = decompose_balanced(atom.measure.scaled(-0.7), 1e-6, CFG2)
-    assert dec.terms == ((5, pytest.approx(-0.7, abs=1e-12)),)
+    assert dec.terms == ((5, pytest.approx(-0.7, abs=1e-12), 0.0),)
     assert dec.residual_norm <= 1e-12
 
 
@@ -76,6 +77,17 @@ def test_balanced_random_six_points():
     dec = decompose_balanced(m, 1e-3, CFG2)
     assert dec.residual_norm <= 1e-3
     assert kr0_norm(m).value <= dec.l1 + 1e-3
+
+
+def test_record_carries_variant_norm_and_ratio():
+    rng = random.Random(23)
+    m = balanced_random(rng)
+    dec = decompose_balanced(m, 1e-4, CFG2)
+    assert dec.variant == "kr0" and all(a2 == 0.0 for _, _, a2 in dec.terms)
+    assert dec.norm == kr0_norm(m).value
+    assert dec.ratio == dec.norm / dec.l1
+    full = decompose_full(m, 1e-4, CFG2)
+    assert full.variant == "kr" and full.norm == kr_norm(m).value
 
 
 def test_balanced_rejects_bad_inputs():
@@ -138,7 +150,7 @@ def test_full_rejects_nonpositive_tol():
 def test_l1_minimal_atom_identity():
     m = delta_atom(2 * 3 - 1, CFG2).measure  # dipole atom of pair 3
     dec = decompose_l1_minimal(m, 5, "kr0", CFG2)
-    assert dec.terms == ((3, pytest.approx(1.0, abs=1e-9)),)
+    assert dec.terms == ((3, pytest.approx(1.0, abs=1e-9), 0.0),)
     assert dec.l1 == pytest.approx(1.0, abs=1e-9)
     assert dec.residual_norm <= 1e-9
     report = verify_bounds(m, dec, 1e-9)

@@ -137,8 +137,37 @@ def test_json_diagnostics_name_the_field():
         measure_from_json("{not json")
 
 
+@pytest.mark.parametrize(
+    "atom, weight",
+    [((0.5, math.nan), 1.0), ((0.5, 0.5), math.nan), ((0.5, 0.5), -math.inf)],
+)
+def test_non_finite_atom_rejected(atom, weight):
+    with pytest.raises(ValueError, match="atom #1 "):
+        DiscreteSignedMeasure.from_atoms(DOM2, [(P, 1.0), (atom, weight)])
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        '[{"point": [0.2], "weight": NaN}]',
+        '[{"point": [Infinity], "weight": 1.0}]',
+        '[5]',
+        '[{"point": [0.2], "weight": null}]',
+    ],
+)
+def test_json_rejects_bad_atoms(atoms):
+    text = '{"dim": 1, "lo": [0], "hi": [1], "atoms": %s}' % atoms
+    with pytest.raises(ValueError, match="atom #0 "):
+        measure_from_json(text)
+
+
 def test_domain_diameter():
     d = Domain((0.0, 0.0), (3.0, 4.0))
     assert math.isclose(d.diameter, 5.0)
     with pytest.raises(ValueError):
         Domain((0.0,), (0.0,))
+
+
+def test_domain_rejects_infinite_box():
+    with pytest.raises(ValueError, match="finite"):
+        Domain((0.0,), (math.inf,))
