@@ -66,9 +66,7 @@ from .solver import (
     NormResult,
     TransportEdge,
     TransportPlan,
-    kr0_dual,
     kr0_norm,
-    kr_dual,
     kr_norm,
     lip_norm,
     lipschitz_seminorm,

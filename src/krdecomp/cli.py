@@ -144,18 +144,30 @@ def _term_from_doc(i: int, term, variant: str) -> tuple[int, float, float]:
 def _dec_from_doc(doc: dict, m: DiscreteSignedMeasure) -> AtomicDecomposition:
     """The file's terms, l1 and stated residual; its norm is left unknown
     (NaN) for the caller to solve."""
+    if not isinstance(doc, dict):
+        raise ValueError("decomposition file must hold a JSON object")
     for field in ("variant", "terms", "l1", "residual_norm"):
         if field not in doc:
             raise ValueError(f"decomposition file missing field '{field}'")
     variant = doc["variant"]
     if variant not in ("kr0", "kr"):
         raise ValueError("field 'variant' must be 'kr0' or 'kr'")
-    cfg = FamilyConfig(m.domain, doc.get("offset", DEFAULT_OFFSET))
+    if not isinstance(doc["terms"], list):
+        raise ValueError("field 'terms' must be a list")
+    l1, residual = _number_field(doc, "l1"), _number_field(doc, "residual_norm")
+    offset = _number_field(doc, "offset") if "offset" in doc else DEFAULT_OFFSET
+    cfg = FamilyConfig(m.domain, offset)
     terms = tuple(_term_from_doc(i, t, variant) for i, t in enumerate(doc["terms"]))
     return AtomicDecomposition(
-        cfg, variant, terms, float(doc["l1"]), float(doc["residual_norm"]), math.nan,
-        m, doc.get("method", "greedy"),
+        cfg, variant, terms, l1, residual, math.nan, m, doc.get("method", "greedy")
     )
+
+
+def _number_field(doc: dict, field: str) -> float:
+    try:
+        return float(doc[field])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field '{field}' must be a number") from exc
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:

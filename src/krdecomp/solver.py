@@ -4,9 +4,10 @@ The balanced norm is the minimal cost of transporting the negative part of
 a measure onto its positive part with Euclidean ground cost.  The extended
 norm prices unmatched mass at 1 per unit, realized by augmenting the
 transport graph with a bank node that creates or destroys mass at unit
-cost.  Every solve returns both an attaining transport plan and a
-Lipschitz dual potential, and reports the primal-dual gap; plan and
-potential come from independently formulated linear programs.
+cost.  Every solve runs one transport LP.  Its plan gives the value, and
+the c-transform of its source duals gives the Lipschitz witness, which is
+checked exactly on the support.  The reported gap rests on weak duality
+between these two checked objects and counts any plan imbalance.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "NormResult",
     "kr0_norm",
     "kr_norm",
-    "kr0_dual",
-    "kr_dual",
     "variant_norm",
     "mcshane_extend",
     "lipschitz_seminorm",
@@ -89,9 +88,9 @@ class TransportPlan:
     def cost(self) -> float:
         return math.fsum(e.cost() for e in self.edges)
 
-    def balance_gap(self, m: DiscreteSignedMeasure) -> float:
-        """Max violation of inflow - outflow = m({p}) over the support of m
-        and of the plan (bank inflow/outflow included)."""
+    def _imbalances(self, m: DiscreteSignedMeasure) -> list[float]:
+        """|inflow - outflow - m({p})| over the support of m and of the plan
+        (bank inflow/outflow included)."""
         net: dict[Point, float] = {p: 0.0 for p, _ in m.atoms}
         for e in self.edges:
             if e.target is not None:
@@ -99,9 +98,11 @@ class TransportPlan:
             if e.source is not None:
                 net[e.source] = net.get(e.source, 0.0) - e.mass
         weights = dict(m.atoms)
-        return max(
-            (abs(flow - weights.get(p, 0.0)) for p, flow in net.items()), default=0.0
-        )
+        return [abs(flow - weights.get(p, 0.0)) for p, flow in net.items()]
+
+    def balance_gap(self, m: DiscreteSignedMeasure) -> float:
+        """Max violation of inflow - outflow = m({p})."""
+        return max(self._imbalances(m), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,9 @@ class NormResult:
     gap: float
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a and the rows of b."""
+    diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
@@ -155,9 +157,7 @@ def lipschitz_seminorm(points: Sequence[Point], values: Sequence[float]) -> floa
     best = 0.0
     chunk = 512
     for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
-        diff = block[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = _distances(pts[start : start + chunk], pts)
         num = np.abs(vals[start : start + chunk, None] - vals[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dist > 0, num / dist, 0.0)
@@ -171,6 +171,19 @@ def lip_norm(points: Sequence[Point], values: Sequence[float]) -> float:
     return max(lipschitz_seminorm(points, values), sup)
 
 
+def _extend(
+    points: np.ndarray,
+    values: np.ndarray,
+    lip: float,
+    zs: np.ndarray,
+    clip: Optional[float] = None,
+) -> np.ndarray:
+    """min_i(values_i + lip |z - points_i|) at every row z of zs (+inf when
+    there are no points), optionally clamped to [-clip, clip]."""
+    ext = np.min(values + lip * _distances(zs, points), axis=1, initial=np.inf)
+    return ext if clip is None else np.clip(ext, -clip, clip)
+
+
 def mcshane_extend(
     w: DualPotential, z: Sequence[float], clip: Optional[float] = None
 ) -> float:
@@ -178,10 +191,8 @@ def mcshane_extend(
     optionally clamped to [-clip, clip]."""
     if not w.points:
         raise EmptyPotentialError("cannot extend an empty potential")
-    val = min(f + w.lip_bound * euclidean(z, p) for p, f in zip(w.points, w.values))
-    if clip is not None:
-        val = max(-clip, min(clip, val))
-    return val
+    pts, vals = np.asarray(w.points, dtype=float), np.asarray(w.values, dtype=float)
+    return float(_extend(pts, vals, w.lip_bound, np.asarray([z], dtype=float), clip)[0])
 
 
 def _solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=None):
@@ -193,6 +204,10 @@ def _solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=None):
         b_eq=b_eq,
         bounds=bounds,
         method="highs-ds",
+        # presolve can leave the recovered plan off its marginals by ~1e-8;
+        # the witness is built from the duals, and a dual infeasibility of e
+        # (HiGHS default 1e-7) can cost up to e per unit of mass in the gap
+        options={"presolve": False, "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         raise LPSolveError(f"LP solve failed (status {res.status}): {res.message}")
@@ -200,89 +215,37 @@ def _solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=None):
 
 
 def _transport_lp(
-    sources: Sequence[Point],
+    sources: np.ndarray,
     supplies: Sequence[float],
-    sinks: Sequence[Point],
+    sinks: np.ndarray,
     demands: Sequence[float],
     bank: bool,
 ):
-    """Min-cost transport from sources to sinks; with ``bank`` every node
-    may additionally create/destroy mass at unit cost.
+    """Min-cost transport from sources to sinks (rows of point arrays); with
+    ``bank`` every node may additionally create/destroy mass at unit cost.
 
-    Returns (value, flow[ns, nt], destroyed[ns], created[nt]).
+    Returns (flow[ns, nt], destroyed, created, source duals u[ns]); without
+    ``bank`` destroyed and created are empty.
     """
     ns, nt = len(sources), len(sinks)
     nx = ns * nt
-    nvar = nx + (ns + nt if bank else 0)
-    cost = np.zeros(nvar)
-    if nx:
-        src = np.asarray(sources, dtype=float)
-        snk = np.asarray(sinks, dtype=float)
-        diff = src[:, None, :] - snk[None, :, :]
-        cost[:nx] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).ravel()
+    cost = np.ones(nx + (ns + nt if bank else 0))
+    cost[:nx] = _distances(sources, sinks).ravel()
+    # flow variable i * nt + j enters source row i and sink row ns + j; the
+    # bank's destroy/create variables follow, one per row
+    rows = [np.repeat(np.arange(ns), nt), ns + np.tile(np.arange(nt), ns)]
+    cols = [np.arange(nx), np.arange(nx)]
     if bank:
-        cost[nx:] = 1.0
-
-    rows, cols, vals = [], [], []
-    for i in range(ns):
-        for j in range(nt):
-            rows.append(i)
-            cols.append(i * nt + j)
-            vals.append(1.0)
-        if bank:
-            rows.append(i)
-            cols.append(nx + i)
-            vals.append(1.0)
-    for j in range(nt):
-        for i in range(ns):
-            rows.append(ns + j)
-            cols.append(i * nt + j)
-            vals.append(1.0)
-        if bank:
-            rows.append(ns + j)
-            cols.append(nx + ns + j)
-            vals.append(1.0)
+        rows.append(np.arange(ns + nt))
+        cols.append(nx + np.arange(ns + nt))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     A_eq = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(ns + nt, nvar)
+        (np.ones(len(rows)), (rows, cols)), shape=(ns + nt, len(cost))
     ).tocsr()
     b_eq = np.concatenate([np.asarray(supplies, float), np.asarray(demands, float)])
     res = _solve_lp(cost, A_eq, b_eq, bounds=(0, None))
-    x = res.x[:nx].reshape(ns, nt) if nx else np.zeros((ns, nt))
-    destroyed = res.x[nx : nx + ns] if bank else np.zeros(ns)
-    created = res.x[nx + ns :] if bank else np.zeros(nt)
-    return float(res.fun), x, destroyed, created
-
-
-def _dual_potential_lp(
-    points: Sequence[Point], weights: Sequence[float], box: bool
-) -> tuple[float, list[float]]:
-    """Maximize sum w_i f_i under pairwise Lipschitz constraints
-    |f_i - f_j| <= |p_i - p_j| (plus |f_i| <= 1 when ``box``)."""
-    m = len(points)
-    if m == 0:
-        return 0.0, []
-    pts = np.asarray(points, dtype=float)
-    dist = _pairwise_distances(pts)
-    iu, ju = np.triu_indices(m, k=1)
-    npairs = len(iu)
-    if npairs:
-        # rows 2k and 2k+1 encode +/- (f_i - f_j) <= dist_ij for pair k
-        rows = np.repeat(np.arange(2 * npairs), 2)
-        cols = np.column_stack([iu, ju, iu, ju]).ravel()
-        vals = np.tile([1.0, -1.0, -1.0, 1.0], npairs)
-        A_ub = sp.coo_matrix((vals, (rows, cols)), shape=(2 * npairs, m)).tocsr()
-        b_ub = np.repeat(dist[iu, ju], 2)
-    else:
-        A_ub = b_ub = None
-    if box:
-        bounds = [(-1.0, 1.0)] * m
-    else:
-        # anchoring one value at 0 is free for balanced measures and makes
-        # the witness deterministic
-        bounds = [(None, None)] * m
-        bounds[0] = (0.0, 0.0)
-    res = _solve_lp(-np.asarray(weights, float), None, None, A_ub, b_ub, bounds)
-    return -float(res.fun), list(res.x)
+    x, u = res.x, res.eqlin.marginals[:ns]
+    return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], u
 
 
 def _certified_potential(
@@ -317,18 +280,49 @@ def _plan_from_flow(
     scale: float,
 ) -> TransportPlan:
     floor = _EDGE_FLOOR * max(1.0, scale)
-    edges = []
-    for i, q in enumerate(sources):
-        for j, p in enumerate(sinks):
-            if flow[i, j] > floor:
-                edges.append(TransportEdge(q, p, float(flow[i, j])))
-    for i, q in enumerate(sources):
-        if destroyed[i] > floor:
-            edges.append(TransportEdge(q, None, float(destroyed[i])))
-    for j, p in enumerate(sinks):
-        if created[j] > floor:
-            edges.append(TransportEdge(None, p, float(created[j])))
+    edges = [
+        TransportEdge(sources[i], sinks[j], float(flow[i, j]))
+        for i, j in zip(*np.nonzero(flow > floor))
+    ]
+    edges += [
+        TransportEdge(sources[i], None, float(destroyed[i]))
+        for i in np.flatnonzero(destroyed > floor)
+    ]
+    edges += [
+        TransportEdge(None, sinks[j], float(created[j]))
+        for j in np.flatnonzero(created > floor)
+    ]
     return TransportPlan(tuple(edges))
+
+
+def _kr(m: DiscreteSignedMeasure, bank: bool) -> NormResult:
+    """One transport LP from the negative part q_i onto the positive part.
+    The value is the plan's cost.  The witness is the c-transform
+    f(z) = min_i(|z - q_i| - u_i) of the source duals u (clipped to [-1, 1]
+    for the extended norm): 1-Lipschitz, and its pairing with m is the LP's
+    dual value.  The gap adds the cost of repairing the plan's imbalance:
+    diam per unit of mass for the balanced norm, 1 (the bank) for the
+    extended one."""
+    if not m.atoms:
+        return _zero_result()
+    hj = m.hahn_jordan()
+    neg, pos = hj.negative, hj.positive
+    dim = m.domain.dim
+    sources = np.array(neg.support, dtype=float).reshape(-1, dim)
+    sinks = np.array(pos.support, dtype=float).reshape(-1, dim)
+    flow, destroyed, created, u = _transport_lp(
+        sources, neg.weights, sinks, pos.weights, bank
+    )
+    plan = _plan_from_flow(
+        neg.support, pos.support, flow, destroyed, created, m.total_variation()
+    )
+    # with no sources (extended norm only) f is +inf, clipped to f = 1
+    support = np.array(m.support, dtype=float)
+    raw = _extend(sources, -u, 1.0, support, clip=1.0 if bank else None)
+    witness = _certified_potential(m.support, raw, box=bank)
+    value = plan.cost()
+    repair = math.fsum(plan._imbalances(m)) * (1.0 if bank else m.domain.diameter)
+    return NormResult(value, plan, witness, value + repair - witness.pair_with(m))
 
 
 def kr0_norm(m: DiscreteSignedMeasure) -> NormResult:
@@ -340,62 +334,22 @@ def kr0_norm(m: DiscreteSignedMeasure) -> NormResult:
         )
     if not m.atoms:
         return _zero_result()
-    hj = m.hahn_jordan()
-    pos, neg = hj.positive, hj.negative
-    if not pos.atoms or not neg.atoms:
-        # only reachable for total variation below the balance tolerance
-        return _zero_result()
-    value, flow, destroyed, created = _transport_lp(
-        neg.support, neg.weights, pos.support, pos.weights, bank=False
-    )
-    plan = _plan_from_flow(
-        neg.support, pos.support, flow, destroyed, created, m.total_variation()
-    )
-    dual_value, witness = kr0_dual(m)
-    return NormResult(value, plan, witness, abs(value - dual_value))
+    if not min(m.weights) < 0.0 < max(m.weights):
+        # one-sided only for total variation below the balance tolerance:
+        # the empty plan, repaired at diam per unit of mass, and f = 0
+        witness = _certified_potential(m.support, [0.0] * len(m.atoms), box=False)
+        gap = m.total_variation() * m.domain.diameter
+        return NormResult(0.0, TransportPlan(()), witness, gap)
+    return _kr(m, bank=False)
 
 
 def kr_norm(m: DiscreteSignedMeasure) -> NormResult:
     """Extended Kantorovich-Rubinstein norm: transport with a bank node that
     creates/destroys mass at unit cost, so unmatched mass pays 1 per unit."""
-    if not m.atoms:
-        return _zero_result()
-    hj = m.hahn_jordan()
-    pos, neg = hj.positive, hj.negative
-    value, flow, destroyed, created = _transport_lp(
-        neg.support, neg.weights, pos.support, pos.weights, bank=True
-    )
-    plan = _plan_from_flow(
-        neg.support, pos.support, flow, destroyed, created, m.total_variation()
-    )
-    dual_value, witness = kr_dual(m)
-    return NormResult(value, plan, witness, abs(value - dual_value))
+    return _kr(m, bank=True)
 
 
 def variant_norm(variant: str, m: DiscreteSignedMeasure) -> NormResult:
     """The norm named by a variant: ``kr0`` (balanced) or ``kr`` (extended)."""
     # resolved per call, so a rebound kr0_norm / kr_norm is the one called
     return {"kr0": kr0_norm, "kr": kr_norm}[variant](m)
-
-
-def kr0_dual(m: DiscreteSignedMeasure) -> tuple[float, DualPotential]:
-    """Dual of the balanced norm: maximize the pairing over potentials that
-    are 1-Lipschitz on the support."""
-    if not m.is_balanced(MASS_BALANCE_TOL):
-        raise BalanceViolationError(
-            f"total mass {m.total_mass():.3e} exceeds balance tolerance"
-        )
-    if not m.atoms:
-        return 0.0, DualPotential((), (), 0.0, 0.0)
-    _, raw = _dual_potential_lp(m.support, m.weights, box=False)
-    witness = _certified_potential(m.support, raw, box=False)
-    return witness.pair_with(m), witness
-
-
-def kr_dual(m: DiscreteSignedMeasure) -> tuple[float, DualPotential]:
-    """Dual of the extended norm: additionally caps the witness at |f| <= 1."""
-    if not m.atoms:
-        return 0.0, DualPotential((), (), 0.0, 0.0)
-    _, raw = _dual_potential_lp(m.support, m.weights, box=True)
-    witness = _certified_potential(m.support, raw, box=True)
-    return witness.pair_with(m), witness

@@ -291,3 +291,27 @@ def test_solver_failure_exits_two(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.startswith("error: LP solve failed (status 4)")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("l1", None), ("l1", [1.0]), ("residual_norm", "x"), ("residual_norm", None),
+     ("terms", 5), ("terms", {"0": [1, 0.5, 0.0]}), ("offset", None), ("offset", "x")],
+)
+def test_verify_malformed_field_is_input_error(tmp_path, capsys, field, value):
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
+    dec = tmp_path / "dec.json"
+    doc = json.loads(dec.read_text())
+    doc[field] = value
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", "--input", mpath, "--dec", dpath]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{field}'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_non_object_file_is_input_error(tmp_path, capsys):
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
+    (tmp_path / "dec.json").write_text("5\n")
+    assert main(["verify", "--input", mpath, "--dec", dpath]) == 1
+    assert capsys.readouterr().err == "error: decomposition file must hold a JSON object\n"

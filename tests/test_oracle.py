@@ -12,7 +12,6 @@ from krdecomp import (
     QuantizationError,
     dipole,
     dirac,
-    kr0_dual,
     kr0_norm,
     kr_norm,
     oracle_dual_grid,
@@ -89,7 +88,7 @@ def test_dual_grid_is_a_lower_bound():
         pts = [(rng.random(), rng.random()) for _ in range(4)]
         w = [0.6, -0.6, 0.4, -0.4]
         m = DiscreteSignedMeasure.from_atoms(DOM2, list(zip(pts, w)))
-        assert oracle_dual_grid(m, 5) <= kr0_dual(m)[0] + 1e-9
+        assert oracle_dual_grid(m, 5) <= kr0_norm(m).potential.pair_with(m) + 1e-9
 
 
 def test_dual_grid_caps():

@@ -15,9 +15,7 @@ from krdecomp import (
     dipole,
     dirac,
     euclidean,
-    kr0_dual,
     kr0_norm,
-    kr_dual,
     kr_norm,
     lip_norm,
     lipschitz_seminorm,
@@ -57,8 +55,6 @@ def test_kr0_three_point_instance():
 def test_kr0_rejects_unbalanced():
     with pytest.raises(BalanceViolationError):
         kr0_norm(dirac(DOM2, (0.5, 0.5)))
-    with pytest.raises(BalanceViolationError):
-        kr0_dual(dirac(DOM2, (0.5, 0.5)))
 
 
 def test_kr0_tolerates_mass_within_balance_tolerance():
@@ -68,7 +64,9 @@ def test_kr0_tolerates_mass_within_balance_tolerance():
     res = kr0_norm(m)
     assert res.value == pytest.approx(euclidean((0.1, 0.1), (0.8, 0.9)), abs=1e-9)
     tiny = DiscreteSignedMeasure.from_atoms(DOM2, [((0.5, 0.5), 5e-11)])
-    assert kr0_norm(tiny).value == 0.0
+    res = kr0_norm(tiny)
+    assert res.value == 0.0 and res.potential.points == tiny.support
+    assert res.gap >= res.plan.balance_gap(tiny)
 
 
 def test_kr_dirac_is_one():
@@ -95,30 +93,36 @@ def test_kr_three_point_matches_kr0():
 def test_kr0_dual_dipole_witness():
     x, y = (0.1, 0.2), (0.7, 0.9)
     m = dipole(DOM2, x, y, 1.5)
-    value, witness = kr0_dual(m)
+    witness = kr0_norm(m).potential
+    value = witness.pair_with(m)
     assert value == pytest.approx(1.5 * euclidean(x, y), abs=1e-9)
     table = dict(zip(witness.points, witness.values))
     assert table[x] - table[y] == pytest.approx(euclidean(x, y), abs=1e-9)
 
 
 def test_kr0_dual_zero_measure():
-    value, witness = kr0_dual(DiscreteSignedMeasure.zero(DOM2))
-    assert value == 0.0 and witness.points == ()
+    zero = DiscreteSignedMeasure.zero(DOM2)
+    witness = kr0_norm(zero).potential
+    assert witness.pair_with(zero) == 0.0 and witness.points == ()
 
 
 def test_kr0_dual_matches_primal_on_random_instance():
     rng = random.Random(17)
     m = random_measure(rng, DOM2, 4, balanced=True)
-    assert kr0_dual(m)[0] == pytest.approx(kr0_norm(m).value, abs=1e-8)
+    r = kr0_norm(m)
+    assert r.potential.pair_with(m) == pytest.approx(r.value, abs=1e-8)
 
 
 def test_kr_dual_signed_diracs():
-    value, witness = kr_dual(dirac(DOM2, (0.4, 0.4)))
+    pos = dirac(DOM2, (0.4, 0.4))
+    witness = kr_norm(pos).potential
+    value = witness.pair_with(pos)
     assert value == pytest.approx(1.0, abs=1e-9)
     assert witness.values[0] == pytest.approx(1.0, abs=1e-9)
 
     neg = dirac(DOM2, (0.4, 0.4)).scaled(-1.0)
-    value2, witness2 = kr_dual(neg)
+    witness2 = kr_norm(neg).potential
+    value2 = witness2.pair_with(neg)
     assert value2 == pytest.approx(1.0, abs=1e-9)
     assert witness2.values[0] == pytest.approx(-1.0, abs=1e-9)
 
@@ -127,7 +131,8 @@ def test_kr_dual_matches_primal_mixed():
     m = DiscreteSignedMeasure.from_atoms(
         DOM2, [((0.1, 0.1), 0.7), ((0.9, 0.2), -0.4), ((0.5, 0.8), 0.6)]
     )
-    assert kr_dual(m)[0] == pytest.approx(kr_norm(m).value, abs=1e-8)
+    r = kr_norm(m)
+    assert r.potential.pair_with(m) == pytest.approx(r.value, abs=1e-8)
 
 
 def test_strong_duality_random_instances():
@@ -234,3 +239,109 @@ def test_witness_is_feasible_on_support():
     res2 = kr_norm(g)
     assert lipschitz_seminorm(res2.potential.points, res2.potential.values) <= 1.0
     assert res2.potential.sup_bound <= 1.0
+
+
+def test_plan_meets_marginals_on_presolve_instance(tmp_path, capsys):
+    # HiGHS presolve left this plan 4.9e-8 off its marginals and its value
+    # 3.1e-8 below a checked witness's pairing
+    from krdecomp import measure_from_json
+    from krdecomp.cli import main
+
+    argv = ["gen", "--seed", "536745676", "--count", "4", "--size", "40",
+            "--box", "0:1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    m = measure_from_json((tmp_path / "measure_0003.json").read_text())
+    res = kr_norm(m)
+    assert res.plan.balance_gap(m) <= 1e-12 * m.total_variation()
+    assert res.value >= res.potential.pair_with(m) - 1e-12
+
+
+@pytest.mark.parametrize("norm, balanced", [(kr0_norm, True), (kr_norm, False)])
+def test_gap_counts_plan_imbalance(monkeypatch, norm, balanced):
+    import krdecomp.solver
+
+    m = random_measure(random.Random(31), DOM2, 8, balanced=balanced)
+    exact = norm(m)
+    real = krdecomp.solver.linprog
+
+    def off_by_1e6(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = res.x.copy()
+        res.x[0] += 1e-6  # the flow of the first source to the first sink
+        return res
+
+    monkeypatch.setattr(krdecomp.solver, "linprog", off_by_1e6)
+    skewed = norm(m)
+    assert skewed.plan.balance_gap(m) >= 1e-6 - 1e-15
+    assert skewed.gap >= exact.gap + 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_residual_gap_is_tight(seed):
+    # the residual of a greedy decomposition holds hundreds of nearly
+    # coincident chain points; its witness must still close the gap
+    from krdecomp import FamilyConfig, decompose_balanced, reconstruct
+
+    dom = Domain.unit(1)
+    m = random_measure(random.Random(seed), dom, 40, balanced=True)
+    residual = m - reconstruct(decompose_balanced(m, 1e-4, FamilyConfig(dom)))
+    assert kr0_norm(residual).gap <= 1e-8 * residual.total_variation()
+
+
+def test_kr0_matches_1d_closed_form_at_400_atoms():
+    # on the line kr0(m) is the integral of |F_m|, F_m the cumulative mass
+    dom = Domain.unit(1)
+    m = random_measure(random.Random(37), dom, 400, balanced=True)
+    atoms = sorted(m.atoms)
+    cum, exact = 0.0, []
+    for (x, w), (y, _) in zip(atoms, atoms[1:]):
+        cum += w
+        exact.append(abs(cum) * (y[0] - x[0]))
+    exact = math.fsum(exact)
+    res = kr0_norm(m)
+    assert res.value == pytest.approx(exact, rel=1e-9)
+    assert res.gap <= 1e-8
+
+
+@pytest.mark.parametrize("bank", [False, True])
+def test_transport_lp_matrix_and_plan_order_match_loop_reference(monkeypatch, bank):
+    import numpy as np
+    import scipy.sparse as sp
+
+    import krdecomp.solver as solver
+
+    ns, nt = 3, 4
+    nx = ns * nt
+    rows, cols = [], []
+    for i in range(ns):
+        rows += [i] * nt + ([i] if bank else [])
+        cols += [i * nt + j for j in range(nt)] + ([nx + i] if bank else [])
+    for j in range(nt):
+        rows += [ns + j] * ns + ([ns + j] if bank else [])
+        cols += [i * nt + j for i in range(ns)] + ([nx + ns + j] if bank else [])
+    shape = (ns + nt, nx + (ns + nt if bank else 0))
+    expected = sp.coo_matrix(([1.0] * len(rows), (rows, cols)), shape=shape).tocsr()
+
+    seen = []
+    real = solver._solve_lp
+    monkeypatch.setattr(
+        solver, "_solve_lp", lambda c, A, b, **kw: seen.append(A) or real(c, A, b, **kw)
+    )
+    rng = np.random.default_rng(3)
+    src, snk = rng.random((ns, 2)), rng.random((nt, 2))
+    solver._transport_lp(src, [1.0] * ns, snk, [0.75] * nt, bank)
+    (got,) = seen
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data, expected.data)
+
+    # edge order: source-major flow edges, then destroyed, then created
+    q, p = [tuple(x) for x in src], [tuple(x) for x in snk]
+    flow = rng.random((ns, nt)) * (rng.random((ns, nt)) < 0.5)
+    destroyed, created = np.array([0.3, 0.0, 0.2]), np.array([0.0, 0.1, 0.4, 0.0])
+    loop = [(q[i], p[j], flow[i, j]) for i in range(ns) for j in range(nt) if flow[i, j] > 0]
+    loop += [(q[i], None, destroyed[i]) for i in range(ns) if destroyed[i] > 0]
+    loop += [(None, p[j], created[j]) for j in range(nt) if created[j] > 0]
+    plan = solver._plan_from_flow(q, p, flow, destroyed, created, 1.0)
+    assert list(plan.edges) == loop
