@@ -13,6 +13,7 @@ import random
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from .decompose import (
     AtomicDecomposition,
@@ -38,6 +39,15 @@ OK, INPUT_ERROR, VERIFY_FAIL = 0, 1, 2
 def _fail(message: str, code: int = INPUT_ERROR) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, an input error; argparse's own 2 means a failed
+    verification here."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(INPUT_ERROR, f"error: {message}\n")
 
 
 def _load_measure(path: str) -> DiscreteSignedMeasure:
@@ -134,7 +144,7 @@ def _term_from_doc(i: int, term, variant: str) -> tuple[int, float, float]:
         # older files store kr0 terms as [j, a1]
         j, a1, a2 = (*term, 0.0)[:3] if variant == "kr0" else term
         parsed = (int(j), float(a1), float(a2))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"decomposition term #{i} is not [j, a1, a2]") from exc
     if variant == "kr0" and parsed[2] != 0.0:
         raise ValueError(f"decomposition term #{i} has a point mass in a kr0 file")
@@ -166,7 +176,7 @@ def _dec_from_doc(doc: dict, m: DiscreteSignedMeasure) -> AtomicDecomposition:
 def _number_field(doc: dict, field: str) -> float:
     try:
         return float(doc[field])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field '{field}' must be a number") from exc
 
 
@@ -197,13 +207,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fresh = variant_norm(dec.variant, m - reconstruct(dec)).value
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
+    try:
+        l1 = math.fsum(abs(a1) + abs(a2) for _, a1, a2 in dec.terms)
+    except OverflowError:
+        l1 = math.inf
+    if not (l1 < math.inf and abs(dec.l1 - l1) <= 1e-12 * l1):
+        # the upper bound would be checked against a sum the terms do not have
+        return _fail(
+            f"field 'l1' states {dec.l1:.17g} but the terms sum to {l1:.17g}", VERIFY_FAIL
+        )
     if fresh > dec.residual_norm + max(args.tol, 1e-6):
         return _fail(
             f"decomposition does not match the measure: certified residual "
             f"{fresh:.3e} exceeds the stated {dec.residual_norm:.3e}"
         )
-    # neither number is taken from the file: both are solved here
-    dec = replace(dec, residual_norm=fresh, norm=variant_norm(dec.variant, m).value)
+    # no number is taken from the file: l1 is summed, both norms are solved
+    norm = variant_norm(dec.variant, m).value
+    dec = replace(dec, l1=l1, residual_norm=fresh, norm=norm)
     report = verify_bounds(
         m, dec, args.tol, ratio_floor=args.ratio_floor, check_terms=args.check_terms
     )
@@ -274,7 +294,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="krdecomp",
         description="Kantorovich-Rubinstein norms and atomic decompositions "
         "of finitely supported signed measures on boxes.",

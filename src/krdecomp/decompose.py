@@ -23,14 +23,23 @@ import scipy.sparse as sp
 
 from .family import (
     FamilyConfig,
+    FamilyPair,
     FamilyPoint,
     family_pair,
+    iter_pairs,
     nearest_family_point,
     pair_index,
     snap_radius,
 )
 from .measures import DiscreteSignedMeasure, Point, euclidean
-from .solver import NormResult, kr0_norm, kr_norm, lip_norm, variant_norm, _solve_lp
+from .solver import (
+    TransportEdge,
+    TransportPlan,
+    kr0_norm,
+    lip_norm,
+    variant_norm,
+    _solve_lp,
+)
 
 _DEPTH_CAP = 60
 _CHAIN_FRACTION = 0.45  # portion of the tolerance spent by chain leftovers
@@ -209,17 +218,17 @@ def _edge_chains(
 
 
 def _greedy_dipoles(
-    base: NormResult, tol: float, cfg: FamilyConfig, min_depth: int
+    plan: TransportPlan, tol: float, cfg: FamilyConfig, min_depth: int
 ) -> tuple[tuple[int, float, float], ...]:
-    """Dipole terms of the balanced measure whose optimal transport is
-    ``base``: every plan edge is snapped onto a family dipole and its snap
-    errors telescope to deeper grids until the bookkept leftover cost is
-    below tol."""
+    """Dipole terms of the balanced measure that ``plan`` transports (any
+    feasible plan, not necessarily an optimal one): every plan edge is
+    snapped onto a family dipole and its snap errors telescope to deeper
+    grids until the bookkept leftover cost is below tol."""
     sink = _AtomSink()
-    if base.value > 0.0:
-        edge_costs = [e.cost() for e in base.plan.edges]
-        total = math.fsum(edge_costs)
-        for e, ec in zip(base.plan.edges, edge_costs):
+    edge_costs = [e.cost() for e in plan.edges]
+    total = math.fsum(edge_costs)
+    if total > 0.0:
+        for e, ec in zip(plan.edges, edge_costs):
             budget = _CHAIN_FRACTION * tol * ec / total
             _edge_chains(e.target, e.source, e.mass, budget, cfg, sink, min_depth)
     return sink.terms()
@@ -239,7 +248,7 @@ def decompose_balanced(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     base = kr0_norm(m)
-    terms = _greedy_dipoles(base, tol, cfg, min_depth)
+    terms = _greedy_dipoles(base.plan, tol, cfg, min_depth)
     return _certified(m, "kr0", terms, cfg, "greedy", norm=base.value)
 
 
@@ -251,29 +260,34 @@ def decompose_full(
 ) -> AtomicDecomposition:
     """Dipole + point-mass decomposition of any finitely supported measure.
 
-    Each support atom is swapped onto a nearby d1 grid point carrying its
-    full weight as a point-mass coefficient; the swap error is a balanced
-    measure covered by greedy dipoles at half the tolerance.  The
-    point-mass coefficients therefore sum to the total mass of m exactly.
+    Each support atom is swapped onto its nearest d1 grid point at a depth
+    where the snap distance is at most tol / (4 * TV(m)), carrying its full
+    weight as a point-mass coefficient.  The swap error, the sum of
+    w * (delta_p - delta_snap(p)), is transported by the snap plan: one
+    edge per atom from the atom to its own snap (none when the atom already
+    sits on it).  That plan is feasible by construction and costs at most
+    tol / 4, so no transport LP is solved for it; greedy dipoles cover it
+    at half the tolerance.  The point-mass coefficients therefore sum to
+    the total mass of m exactly.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    tv = m.total_variation()
     alpha2: dict[int, list[float]] = {}
-    swap_atoms: list[tuple[Point, float]] = []
+    snap_edges: list[TransportEdge] = []
     if m.atoms:
-        target_dist = tol / (4.0 * tv)
+        target_dist = tol / (4.0 * m.total_variation())
         depth = min_depth
         while snap_radius(depth, cfg, "d1") > target_dist and depth < _DEPTH_CAP:
             depth += 1
         for p, w in m.atoms:
             x, _ = nearest_family_point(p, depth, "d1", cfg)
-            j = pair_index(x.index, 0)
-            alpha2.setdefault(j, []).append(w)
-            swap_atoms.append((p, w))
-            swap_atoms.append((x.coords, -w))
-    swap = DiscreteSignedMeasure.from_atoms(m.domain, swap_atoms)
-    dipoles = _greedy_dipoles(kr0_norm(swap), tol / 2.0, cfg, min_depth)
+            alpha2.setdefault(pair_index(x.index, 0), []).append(w)
+            # w * (delta_p - delta_x): mass runs from the negative end
+            if x.coords != p:
+                edge = (x.coords, p, w) if w > 0 else (p, x.coords, -w)
+                snap_edges.append(TransportEdge(*edge))
+    snap_plan = TransportPlan(tuple(snap_edges))
+    dipoles = _greedy_dipoles(snap_plan, tol / 2.0, cfg, min_depth)
     merged = {j: [a1, 0.0] for j, a1, _ in dipoles}
     for j, parts in alpha2.items():
         merged.setdefault(j, [0.0, 0.0])[1] = math.fsum(parts)
@@ -306,44 +320,42 @@ def decompose_l1_minimal(
         raise ValueError("balanced variant needs a balanced measure")
     if not m.atoms:
         return _certified(m, variant, (), cfg, "l1_minimal")
-    pairs = [family_pair(j, cfg) for j in range(1, truncation + 1)]
-    covered: set[Point] = set()
-    for pair in pairs:
-        covered.add(pair.x.coords)
-        covered.add(pair.y.coords)
-    missing = [p for p, _ in m.atoms if p not in covered]
+    pairs = list(iter_pairs(cfg, truncation))
+    # one row per point, in first-seen order x_1, y_1, x_2, ...
+    point_rows: dict[Point, int] = {}
+    ends = np.array([
+        point_rows.setdefault(p, len(point_rows))
+        for pair in pairs
+        for p in (pair.x.coords, pair.y.coords)
+    ])
+    missing = [p for p, _ in m.atoms if p not in point_rows]
     if missing:
         raise TruncationCoverageError(
             f"support points not covered by the first {truncation} atoms: {missing}"
         )
 
-    point_rows: dict[Point, int] = {}
-
-    def row_of(p: Point) -> int:
-        return point_rows.setdefault(p, len(point_rows))
-
-    cols: list[list[tuple[int, float]]] = []
-    col_term: list[tuple[int, int]] = []  # (pair index, 0=dipole | 1=delta)
-    for pair in pairs:
-        w = 1.0 / pair.separation
-        cols.append([(row_of(pair.x.coords), w), (row_of(pair.y.coords), -w)])
-        col_term.append((pair.index, 0))
-        if variant == "kr":
-            cols.append([(row_of(pair.x.coords), 1.0)])
-            col_term.append((pair.index, 1))
-
-    nrows, ncols = len(point_rows), len(cols)
+    # pair k owns column k * slots (its dipole) and, for kr, column
+    # k * slots + 1 (its delta_x)
+    rx, ry = ends[0::2], ends[1::2]
+    w = 1.0 / np.array([pair.separation for pair in pairs])
+    slots = 2 if variant == "kr" else 1
+    dip = slots * np.arange(len(pairs))
+    rows, cols, vals = [rx, ry], [dip, dip], [w, -w]
+    if variant == "kr":
+        rows.append(rx)
+        cols.append(dip + 1)
+        vals.append(np.ones(len(pairs)))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    nrows, ncols = len(point_rows), slots * len(pairs)
     b = np.zeros(nrows)
-    for p, w in m.atoms:
-        b[point_rows[p]] = w
-    rows_idx, cols_idx, vals = [], [], []
-    for jcol, entries in enumerate(cols):
-        for r, v in entries:
-            # split alpha = alpha_plus - alpha_minus
-            rows_idx += [r, r]
-            cols_idx += [jcol, ncols + jcol]
-            vals += [v, -v]
-    A_eq = sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=(nrows, 2 * ncols)).tocsr()
+    for p, wp in m.atoms:
+        b[point_rows[p]] = wp
+    # split alpha = alpha_plus - alpha_minus
+    A_eq = sp.coo_matrix(
+        (np.concatenate([vals, -vals]),
+         (np.concatenate([rows, rows]), np.concatenate([cols, ncols + cols]))),
+        shape=(nrows, 2 * ncols),
+    ).tocsr()
     try:
         res = _solve_lp(np.ones(2 * ncols), A_eq, b, bounds=(0, None))
     except RuntimeError as exc:
@@ -353,9 +365,10 @@ def decompose_l1_minimal(
     alpha = [float(v) for v in res.x[:ncols] - res.x[ncols:]]
 
     coeffs: dict[int, list[float]] = {}
-    for (j, slot), a in zip(col_term, alpha):
+    for col, a in enumerate(alpha):
         if a != 0.0:
-            coeffs.setdefault(j, [0.0, 0.0])[slot] += a
+            k, slot = divmod(col, slots)
+            coeffs.setdefault(pairs[k].index, [0.0, 0.0])[slot] = a
     terms = tuple((j, a1, a2) for j, (a1, a2) in sorted(coeffs.items()))
     return _certified(m, variant, terms, cfg, "l1_minimal")
 
@@ -427,6 +440,19 @@ def term_measure(
     return DiscreteSignedMeasure.from_atoms(cfg.domain, _term_atoms(j, alpha1, alpha2, cfg))
 
 
+def _term_norm(pair: FamilyPair, alpha1: float, alpha2: float) -> float:
+    """Extended norm of alpha1 * dipole_j + alpha2 * delta_{x_j}, which is
+    wx * delta_x - (alpha1 / s) * delta_y with wx = alpha1 / s + alpha2 and
+    s = |x - y|.  Weights of one sign pay 1 per unit at the bank; of
+    opposite signs, the matched mass moves at min(s, 2) (transport, or
+    destroy and create) and the excess pays 1 per unit."""
+    s = pair.separation
+    wx, wy = abs(alpha1 / s + alpha2), abs(alpha1) / s
+    if alpha1 * (alpha1 / s + alpha2) > 0:  # opposite signs at x and y
+        return min(wx, wy) * min(s, 2.0) + abs(wx - wy)
+    return wx + wy
+
+
 def verify_term_lower_bound(
     j: int,
     alpha1: float,
@@ -434,14 +460,15 @@ def verify_term_lower_bound(
     cfg: FamilyConfig,
     witness_grid: int = 0,
 ) -> TermBoundCheck:
-    """Check  ||alpha1*dipole_j + alpha2*delta_{x_j}||  >=  (|a1|+|a2|)/(d+1)
-    and that the explicit witness pairs to exactly the right-hand side;
-    with ``witness_grid`` > 0 also samples the witness Lipschitz norm."""
+    """Check  ||alpha1*dipole_j + alpha2*delta_{x_j}||  >=  (|a1|+|a2|)/(d+1),
+    the extended norm of the two-point term taken in closed form, and that
+    the explicit witness pairs to exactly the right-hand side; with
+    ``witness_grid`` > 0 also samples the witness Lipschitz norm."""
     if alpha1 == 0.0 and alpha2 == 0.0:
         raise ValueError("coefficients must not both be zero")
     pair = family_pair(j, cfg)
     d = cfg.domain.diameter
-    lhs = kr_norm(term_measure(j, alpha1, alpha2, cfg)).value
+    lhs = _term_norm(pair, alpha1, alpha2)
     rhs = (abs(alpha1) + abs(alpha2)) / (d + 1.0)
     fx = testfn_eval(j, alpha1, alpha2, pair.x.coords, cfg)
     fy = testfn_eval(j, alpha1, alpha2, pair.y.coords, cfg)

@@ -335,8 +335,19 @@ def nearest_family_point(
 
 
 def iter_pairs(cfg: FamilyConfig, count: int) -> Iterator[FamilyPair]:
+    """family_pair(j, cfg) for j = 1..count.  The first n pairs use only
+    O(sqrt(n)) distinct d1/d2 points, so each is built once per call."""
+    points: dict[tuple[FamilyTag, int], FamilyPoint] = {}
+
+    def point(k: int, family: FamilyTag) -> FamilyPoint:
+        if (family, k) not in points:
+            points[family, k] = _point_at(k, cfg, family)
+        return points[family, k]
+
     for j in range(1, count + 1):
-        yield family_pair(j, cfg)
+        a, b = pair_components(j)
+        x, y = point(a, "d1"), point(b, "d2")
+        yield FamilyPair(j, x, y, euclidean(x.coords, y.coords))
 
 
 def dump_pairs_csv(cfg: FamilyConfig, count: int) -> str:

@@ -115,10 +115,15 @@ def _canonical_atoms(
             raise DomainMembershipError(f"atom #{i} {exc}") from None
         buckets.setdefault(p, []).append(w)
     merged = []
-    for p in sorted(buckets):
-        w = math.fsum(buckets[p])
-        if abs(w) > drop_below:
-            merged.append((p, w))
+    try:
+        for p in sorted(buckets):
+            w = math.fsum(buckets[p])
+            if abs(w) > drop_below:
+                merged.append((p, w))
+        # a finite total variation keeps every later mass and balance sum finite
+        math.fsum(abs(w) for _, w in merged)
+    except OverflowError:
+        raise ValueError("total variation of the atoms exceeds the float range") from None
     return tuple(merged)
 
 
@@ -239,22 +244,31 @@ def measure_from_json(text: str) -> DiscreteSignedMeasure:
         if field not in doc:
             raise ValueError(f"measure file missing field '{field}'")
     dim = doc["dim"]
-    lo, hi = doc["lo"], doc["hi"]
     if not (isinstance(dim, int) and dim >= 1):
         raise ValueError("field 'dim' must be a positive integer")
-    if len(lo) != dim or len(hi) != dim:
+    for field in ("lo", "hi", "atoms"):
+        if not isinstance(doc[field], list):
+            raise ValueError(f"field '{field}' must be a list")
+    if len(doc["lo"]) != dim or len(doc["hi"]) != dim:
         raise ValueError("fields 'lo'/'hi' must have length 'dim'")
-    domain = Domain(tuple(lo), tuple(hi))
+    try:
+        lo = tuple(float(v) for v in doc["lo"])
+        hi = tuple(float(v) for v in doc["hi"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("fields 'lo'/'hi' must hold numbers") from exc
+    domain = Domain(lo, hi)
     atoms = []
     for i, entry in enumerate(doc["atoms"]):
         if not isinstance(entry, dict):
             raise ValueError(f"atom #{i} must be an object with 'point' and 'weight'")
         if "point" not in entry or "weight" not in entry:
             raise ValueError(f"atom #{i} missing 'point' or 'weight'")
+        if not isinstance(entry["point"], list):
+            raise ValueError(f"atom #{i} point must be a list")
         try:
             point = tuple(float(x) for x in entry["point"])
             weight = float(entry["weight"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"atom #{i} has a non-numeric point or weight") from exc
         if len(point) != dim:
             raise ValueError(f"atom #{i} point has wrong dimension")

@@ -31,6 +31,7 @@ from krdecomp import (
     oracle_kr,
     oracle_kr0,
     reconstruct,
+    term_measure,
     verify_term_lower_bound,
 )
 from conftest import random_measure, random_quantized
@@ -136,6 +137,7 @@ def test_criterion_5_per_term_lower_bound():
         a2 = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0)
         chk = verify_term_lower_bound(j, a1, a2, CFG2, witness_grid=1000)
         assert chk.lhs >= (abs(a1) + abs(a2)) / (d + 1) - 1e-9
+        assert abs(chk.lhs - kr_norm(term_measure(j, a1, a2, CFG2)).value) <= 1e-12
         assert abs(chk.pairing - (abs(a1) + abs(a2)) / (d + 1)) <= 1e-12
         assert chk.witness_lip_norm <= 1.0 + 1e-9
     _report(5, "per-term lower bound, 100 trials", start)

@@ -139,6 +139,24 @@ def test_full_alpha2_sum_is_total_mass():
     assert kr_norm(m).value <= dec.l1 + dec.residual_norm + 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_full_snap_plan_keeps_residual_and_mass(dim):
+    # the swap error is covered through the snap plan, not an optimal one
+    dom = Domain.unit(dim)
+    cfg = FamilyConfig(dom)
+    rng = random.Random(300 + dim)
+    for trial in range(6):
+        m = random_measure(rng, dom, rng.randint(1, 8), balanced=trial % 3 == 0)
+        if trial == 5:  # one atom already on a grid point, two on one snap
+            x = d1_point(7, cfg).coords
+            near = tuple(min(c + 1e-9, 1.0) for c in x)
+            m = m + DiscreteSignedMeasure.from_atoms(dom, [(x, 0.4), (near, -0.3)])
+        tol = rng.choice([1e-3, 1e-4, 1e-6])
+        dec = decompose_full(m, tol, cfg)
+        assert dec.residual_norm <= tol
+        assert dec.sum_alpha2() == pytest.approx(m.total_mass(), abs=1e-12)
+
+
 def test_full_rejects_nonpositive_tol():
     with pytest.raises(ValueError):
         decompose_full(dirac(DOM2, (0.5, 0.5)), 0.0, CFG2)
@@ -163,6 +181,64 @@ def test_l1_minimal_two_atom_sum():
     assert dec.l1 <= 2.0 + 1e-9
     norm = kr0_norm(m).value
     assert norm / dec.l1 >= norm / 2.0 - 1e-9
+
+
+def _l1_program_loop_reference(pairs, variant, m):
+    """The l1 program's A_eq and b assembled entry by entry."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    point_rows = {}
+
+    def row_of(p):
+        return point_rows.setdefault(p, len(point_rows))
+
+    cols = []
+    for pair in pairs:
+        w = 1.0 / pair.separation
+        cols.append([(row_of(pair.x.coords), w), (row_of(pair.y.coords), -w)])
+        if variant == "kr":
+            cols.append([(row_of(pair.x.coords), 1.0)])
+    nrows, ncols = len(point_rows), len(cols)
+    b = np.zeros(nrows)
+    for p, w in m.atoms:
+        b[point_rows[p]] = w
+    rows_idx, cols_idx, vals = [], [], []
+    for jcol, entries in enumerate(cols):
+        for r, v in entries:
+            rows_idx += [r, r]
+            cols_idx += [jcol, ncols + jcol]
+            vals += [v, -v]
+    shape = (nrows, 2 * ncols)
+    return sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=shape).tocsr(), b
+
+
+@pytest.mark.parametrize("variant", ["kr0", "kr"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_l1_program_matches_loop_reference(monkeypatch, variant, dim):
+    import numpy as np
+
+    import krdecomp.decompose as decompose
+
+    cfg = FamilyConfig(Domain.unit(dim))
+    m = delta_atom(9, cfg).measure.scaled(0.6) + delta_atom(21, cfg).measure
+    if variant == "kr":
+        m = m + delta_atom(30, cfg).measure.scaled(-0.2)
+    seen = []
+    real = decompose._solve_lp
+    monkeypatch.setattr(
+        decompose, "_solve_lp", lambda c, A, b, **kw: seen.append((A, b)) or real(c, A, b, **kw)
+    )
+    decompose_l1_minimal(m, 300, variant, cfg)
+    (got, b), = seen
+    expected, expected_b = _l1_program_loop_reference(
+        [family_pair(j, cfg) for j in range(1, 301)], variant, m
+    )
+    assert got.shape == expected.shape
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data, expected.data)
+    assert np.array_equal(b, expected_b)
 
 
 def test_l1_minimal_uncovered_support_raises():
@@ -272,6 +348,33 @@ def test_term_lower_bound_random_trials():
         assert chk.ok
         assert chk.pairing == pytest.approx((abs(a1) + abs(a2)) / (d + 1), abs=1e-12)
         assert chk.witness_lip_norm <= 1.0 + 1e-9
+
+
+def test_term_norm_closed_form_matches_lp():
+    # boxes of side 3 and 4 make separations above 2 occur
+    rng = random.Random(61)
+    count, long_pairs = 0, 0
+    for dim in (1, 2, 5):
+        for lo, hi in ((0.0, 1.0), (0.0, 3.0), (-2.0, 2.0)):
+            cfg = FamilyConfig(Domain((lo,) * dim, (hi,) * dim))
+            for trial in range(48):
+                j = rng.randint(1, 400)
+                pair = family_pair(j, cfg)
+                a1 = rng.choice([-1, 1]) * rng.uniform(0.01, 3.0)
+                a2 = rng.choice([-1, 1]) * rng.uniform(0.01, 3.0)
+                if trial % 8 == 0:
+                    a1 = 0.0
+                elif trial % 8 == 1:
+                    a2 = 0.0
+                elif trial % 8 == 2:
+                    a2 = -(a1 / pair.separation)  # the x atom cancels
+                lp = kr_norm(term_measure(j, a1, a2, cfg)).value
+                assert verify_term_lower_bound(j, a1, a2, cfg).lhs == pytest.approx(
+                    lp, rel=1e-12, abs=1e-15
+                )
+                count += 1
+                long_pairs += pair.separation > 2.0
+    assert count >= 400 and long_pairs > 0
 
 
 def test_term_lower_bound_rejects_zero():

@@ -21,7 +21,7 @@ from krdecomp import (
     pair_index,
     snap_radius,
 )
-from krdecomp.family import _coords, _index_of
+from krdecomp.family import _coords, _index_of, iter_pairs
 
 CFG1 = FamilyConfig(Domain.unit(1))
 CFG2 = FamilyConfig(Domain.unit(2))
@@ -105,6 +105,12 @@ def test_family_pair_anti_diagonal_order():
     assert (p2.x.index, p2.y.index) == (0, 1)
     p3 = family_pair(3, CFG1)
     assert (p3.x.index, p3.y.index) == (1, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_iter_pairs_matches_family_pair(dim):
+    cfg = FamilyConfig(Domain.unit(dim))
+    assert list(iter_pairs(cfg, 2048)) == [family_pair(j, cfg) for j in range(1, 2049)]
 
 
 def test_pair_index_bijection():
