@@ -11,7 +11,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NoReturn
 
@@ -143,9 +143,11 @@ def _term_from_doc(i: int, term, variant: str) -> tuple[int, float, float]:
     try:
         # older files store kr0 terms as [j, a1]
         j, a1, a2 = (*term, 0.0)[:3] if variant == "kr0" else term
-        parsed = (int(j), float(a1), float(a2))
+        parsed = (j, float(a1), float(a2))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"decomposition term #{i} is not [j, a1, a2]") from exc
+    if type(j) is not int or j < 1:  # a bool, float or string is no pair index
+        raise ValueError(f"decomposition term #{i} has pair index {j!r}, not an integer >= 1")
     if variant == "kr0" and parsed[2] != 0.0:
         raise ValueError(f"decomposition term #{i} has a point mass in a kr0 file")
     return parsed
@@ -227,22 +229,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_bounds(
         m, dec, args.tol, ratio_floor=args.ratio_floor, check_terms=args.check_terms
     )
-    payload = {
-        "norm": report.norm,
-        "l1": report.l1,
-        "residual_norm": report.residual_norm,
-        "upper_ok": report.upper_ok,
-        "ratio": report.ratio,
-        "per_term_lower_ok": report.per_term_lower_ok,
-        "ratio_floor_ok": report.ratio_floor_ok,
-    }
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
-    ok = report.upper_ok
-    if report.per_term_lower_ok is not None:
-        ok = ok and report.per_term_lower_ok
-    if report.ratio_floor_ok is not None:
-        ok = ok and report.ratio_floor_ok
-    return OK if ok else VERIFY_FAIL
+    _write_out(json.dumps(asdict(report), indent=2) + "\n", args.out)
+    flags = (report.upper_ok, report.per_term_lower_ok, report.ratio_floor_ok)
+    return OK if all(flag for flag in flags if flag is not None) else VERIFY_FAIL
 
 
 def cmd_family(args: argparse.Namespace) -> int:

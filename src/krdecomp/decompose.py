@@ -7,7 +7,10 @@ depths until the certified residual is below tolerance.  A general
 measure additionally receives one point-mass coefficient per support
 atom.  An exact alternative solves the l1-minimal coefficient program on
 a truncated family.  Every construction ends in one record type whose
-residual is certified by a fresh norm solve.  Verification checks the
+residual is certified by a fresh norm solve.  Every constructor
+collects its coefficients in one term sink, which sums them per pair
+index, and a reconstruction decodes all its pairs in one call to the
+family's decoder, ``iter_pairs``.  Verification checks the
 norm-vs-l1 upper bound, the per-term lower bound with its explicit
 Lipschitz witness, and the invariance of the point-mass coefficient sum.
 """
@@ -30,6 +33,7 @@ from .family import (
     nearest_family_point,
     pair_index,
     snap_radius,
+    term_atoms,
 )
 from .measures import DiscreteSignedMeasure, Point, euclidean
 from .solver import (
@@ -131,23 +135,28 @@ class TermBoundCheck(NamedTuple):
 # -- greedy construction -------------------------------------------------
 
 
-class _AtomSink:
-    """Accumulates unnormalized dipole contributions c*(delta_x - delta_y)
-    as coefficients of the normalized family atoms."""
+class _TermSink:
+    """Accumulates (alpha1, alpha2) contributions per pair index; the terms
+    are their exact sums, zero terms dropped, sorted by index."""
 
     def __init__(self) -> None:
-        self.parts: dict[int, list[float]] = {}
+        self.parts: dict[int, tuple[list[float], list[float]]] = {}
+
+    def add(self, j: int, alpha1: float = 0.0, alpha2: float = 0.0) -> None:
+        a1s, a2s = self.parts.setdefault(j, ([], []))
+        a1s.append(alpha1)
+        a2s.append(alpha2)
 
     def emit(self, x: FamilyPoint, y: FamilyPoint, c: float) -> None:
-        j = pair_index(x.index, y.index)
-        self.parts.setdefault(j, []).append(c * euclidean(x.coords, y.coords))
+        """The unnormalized dipole c*(delta_x - delta_y) of a family pair."""
+        self.add(pair_index(x.index, y.index), c * euclidean(x.coords, y.coords))
 
     def terms(self) -> tuple[tuple[int, float, float], ...]:
         out = []
         for j in sorted(self.parts):
-            a = math.fsum(self.parts[j])
-            if a != 0.0:
-                out.append((j, a, 0.0))
+            a1, a2 = (math.fsum(parts) for parts in self.parts[j])
+            if (a1, a2) != (0.0, 0.0):
+                out.append((j, a1, a2))
         return tuple(out)
 
 
@@ -159,7 +168,7 @@ def _chain(
     cfg: FamilyConfig,
     c: float,
     budget: float,
-    sink: _AtomSink,
+    sink: _TermSink,
 ) -> Optional[tuple[Point, Point, float]]:
     """Cover c*(delta_p - delta_start) by dipoles of ever deeper snaps of p
     within the family of ``start``; returns the leftover dipole
@@ -192,7 +201,7 @@ def _edge_chains(
     mass: float,
     budget: float,
     cfg: FamilyConfig,
-    sink: _AtomSink,
+    sink: _TermSink,
     min_depth: int,
 ) -> list[tuple[Point, Point, float]]:
     """Decompose the plan-edge contribution mass*(delta_p - delta_q); the
@@ -218,20 +227,19 @@ def _edge_chains(
 
 
 def _greedy_dipoles(
-    plan: TransportPlan, tol: float, cfg: FamilyConfig, min_depth: int
-) -> tuple[tuple[int, float, float], ...]:
-    """Dipole terms of the balanced measure that ``plan`` transports (any
-    feasible plan, not necessarily an optimal one): every plan edge is
-    snapped onto a family dipole and its snap errors telescope to deeper
-    grids until the bookkept leftover cost is below tol."""
-    sink = _AtomSink()
+    plan: TransportPlan, tol: float, cfg: FamilyConfig, min_depth: int, sink: _TermSink
+) -> None:
+    """Adds to ``sink`` the dipole terms of the balanced measure that
+    ``plan`` transports (any feasible plan, not necessarily an optimal
+    one): every plan edge is snapped onto a family dipole and its snap
+    errors telescope to deeper grids until the bookkept leftover cost is
+    below tol."""
     edge_costs = [e.cost() for e in plan.edges]
     total = math.fsum(edge_costs)
     if total > 0.0:
         for e, ec in zip(plan.edges, edge_costs):
             budget = _CHAIN_FRACTION * tol * ec / total
             _edge_chains(e.target, e.source, e.mass, budget, cfg, sink, min_depth)
-    return sink.terms()
 
 
 def decompose_balanced(
@@ -248,8 +256,9 @@ def decompose_balanced(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     base = kr0_norm(m)
-    terms = _greedy_dipoles(base.plan, tol, cfg, min_depth)
-    return _certified(m, "kr0", terms, cfg, "greedy", norm=base.value)
+    sink = _TermSink()
+    _greedy_dipoles(base.plan, tol, cfg, min_depth, sink)
+    return _certified(m, "kr0", sink.terms(), cfg, "greedy", norm=base.value)
 
 
 def decompose_full(
@@ -272,7 +281,7 @@ def decompose_full(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    alpha2: dict[int, list[float]] = {}
+    sink = _TermSink()
     snap_edges: list[TransportEdge] = []
     if m.atoms:
         target_dist = tol / (4.0 * m.total_variation())
@@ -281,20 +290,13 @@ def decompose_full(
             depth += 1
         for p, w in m.atoms:
             x, _ = nearest_family_point(p, depth, "d1", cfg)
-            alpha2.setdefault(pair_index(x.index, 0), []).append(w)
+            sink.add(pair_index(x.index, 0), alpha2=w)
             # w * (delta_p - delta_x): mass runs from the negative end
             if x.coords != p:
                 edge = (x.coords, p, w) if w > 0 else (p, x.coords, -w)
                 snap_edges.append(TransportEdge(*edge))
-    snap_plan = TransportPlan(tuple(snap_edges))
-    dipoles = _greedy_dipoles(snap_plan, tol / 2.0, cfg, min_depth)
-    merged = {j: [a1, 0.0] for j, a1, _ in dipoles}
-    for j, parts in alpha2.items():
-        merged.setdefault(j, [0.0, 0.0])[1] = math.fsum(parts)
-    terms = tuple(
-        (j, a1, a2) for j, (a1, a2) in sorted(merged.items()) if (a1, a2) != (0.0, 0.0)
-    )
-    return _certified(m, "kr", terms, cfg, "greedy")
+    _greedy_dipoles(TransportPlan(tuple(snap_edges)), tol / 2.0, cfg, min_depth, sink)
+    return _certified(m, "kr", sink.terms(), cfg, "greedy")
 
 
 # -- l1-minimal construction ----------------------------------------------
@@ -320,7 +322,7 @@ def decompose_l1_minimal(
         raise ValueError("balanced variant needs a balanced measure")
     if not m.atoms:
         return _certified(m, variant, (), cfg, "l1_minimal")
-    pairs = list(iter_pairs(cfg, truncation))
+    pairs = list(iter_pairs(cfg, range(1, truncation + 1)))
     # one row per point, in first-seen order x_1, y_1, x_2, ...
     point_rows: dict[Point, int] = {}
     ends = np.array([
@@ -362,32 +364,14 @@ def decompose_l1_minimal(
         raise TruncationCoverageError(
             f"no exact combination over the first {truncation} atoms: {exc}"
         ) from exc
-    alpha = [float(v) for v in res.x[:ncols] - res.x[ncols:]]
-
-    coeffs: dict[int, list[float]] = {}
-    for col, a in enumerate(alpha):
-        if a != 0.0:
-            k, slot = divmod(col, slots)
-            coeffs.setdefault(pairs[k].index, [0.0, 0.0])[slot] = a
-    terms = tuple((j, a1, a2) for j, (a1, a2) in sorted(coeffs.items()))
-    return _certified(m, variant, terms, cfg, "l1_minimal")
+    alpha = (res.x[:ncols] - res.x[ncols:]).reshape(len(pairs), slots)
+    sink = _TermSink()
+    for k in np.flatnonzero(alpha.any(axis=1)):
+        sink.add(pairs[k].index, *map(float, alpha[k]))
+    return _certified(m, variant, sink.terms(), cfg, "l1_minimal")
 
 
 # -- reconstruction and verification ---------------------------------------
-
-
-def _term_atoms(
-    j: int, alpha1: float, alpha2: float, cfg: FamilyConfig
-) -> list[tuple[Point, float]]:
-    """Atoms of alpha1 * dipole_j + alpha2 * delta_{x_j}."""
-    pair = family_pair(j, cfg)
-    atoms = []
-    if alpha1 != 0.0:
-        w = alpha1 / pair.separation
-        atoms += [(pair.x.coords, w), (pair.y.coords, -w)]
-    if alpha2 != 0.0:
-        atoms.append((pair.x.coords, alpha2))
-    return atoms
 
 
 def reconstruct(
@@ -399,18 +383,15 @@ def reconstruct(
         if prefix < 0 or prefix > len(terms):
             raise ValueError("prefix out of range")
         terms = terms[:prefix]
-    atoms = [a for j, a1, a2 in terms for a in _term_atoms(j, a1, a2, dec.family)]
+    pairs = iter_pairs(dec.family, [j for j, _, _ in terms])
+    atoms = [a for pair, (_, a1, a2) in zip(pairs, terms) for a in term_atoms(pair, a1, a2)]
     return DiscreteSignedMeasure.from_atoms(dec.target.domain, atoms)
 
 
-def testfn_eval(
-    j: int, alpha1: float, alpha2: float, z: Sequence[float], cfg: FamilyConfig
-) -> float:
-    """Piecewise witness for the per-term lower bound: a cone around x_j
-    with slope 1/(diam+1), its sign pattern selected by (alpha1, alpha2)."""
-    pair = family_pair(j, cfg)
-    d = cfg.domain.diameter
-    r = euclidean(pair.x.coords, z)
+def _cone(x: Point, alpha1: float, alpha2: float, z: Sequence[float], d: float) -> float:
+    """The witness cone around x with slope 1/(d+1), its sign pattern
+    selected by (alpha1, alpha2), evaluated at z."""
+    r = euclidean(x, z)
     if alpha1 >= 0 and alpha2 >= 0:
         return (1.0 - r) / (d + 1.0)
     if alpha1 < 0 and alpha2 >= 0:
@@ -418,6 +399,14 @@ def testfn_eval(
     if alpha1 >= 0 and alpha2 < 0:
         return (-1.0 - r) / (d + 1.0)
     return (-1.0 + r) / (d + 1.0)
+
+
+def testfn_eval(
+    j: int, alpha1: float, alpha2: float, z: Sequence[float], cfg: FamilyConfig
+) -> float:
+    """Piecewise witness for the per-term lower bound: a cone around x_j
+    with slope 1/(diam+1), its sign pattern selected by (alpha1, alpha2)."""
+    return _cone(family_pair(j, cfg).x.coords, alpha1, alpha2, z, cfg.domain.diameter)
 
 
 def _sample_grid(cfg: FamilyConfig, total: int) -> list[Point]:
@@ -437,7 +426,9 @@ def term_measure(
     j: int, alpha1: float, alpha2: float, cfg: FamilyConfig
 ) -> DiscreteSignedMeasure:
     """The measure alpha1 * dipole_j + alpha2 * delta_{x_j}."""
-    return DiscreteSignedMeasure.from_atoms(cfg.domain, _term_atoms(j, alpha1, alpha2, cfg))
+    return DiscreteSignedMeasure.from_atoms(
+        cfg.domain, term_atoms(family_pair(j, cfg), alpha1, alpha2)
+    )
 
 
 def _term_norm(pair: FamilyPair, alpha1: float, alpha2: float) -> float:
@@ -470,13 +461,14 @@ def verify_term_lower_bound(
     d = cfg.domain.diameter
     lhs = _term_norm(pair, alpha1, alpha2)
     rhs = (abs(alpha1) + abs(alpha2)) / (d + 1.0)
-    fx = testfn_eval(j, alpha1, alpha2, pair.x.coords, cfg)
-    fy = testfn_eval(j, alpha1, alpha2, pair.y.coords, cfg)
+    x = pair.x.coords
+    fx = _cone(x, alpha1, alpha2, x, d)
+    fy = _cone(x, alpha1, alpha2, pair.y.coords, d)
     pairing = (fx - fy) / pair.separation * alpha1 + fx * alpha2
     witness_lip = None
     if witness_grid > 0:
         grid = _sample_grid(cfg, witness_grid)
-        values = [testfn_eval(j, alpha1, alpha2, z, cfg) for z in grid]
+        values = [_cone(x, alpha1, alpha2, z, d) for z in grid]
         witness_lip = lip_norm(grid, values)
     return TermBoundCheck(lhs, rhs, lhs >= rhs - 1e-9, pairing, witness_lip)
 

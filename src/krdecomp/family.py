@@ -14,13 +14,18 @@ tag on each point, never decided by comparing floats.
 Pairs (x, y) in d1 x d2 are enumerated along Cantor anti-diagonals, and the
 canonical atom sequence interleaves normalized dipoles (odd indices) with
 unit point masses (even indices).
+
+:func:`iter_pairs` is the one pair decoder: every pair, single or batched,
+is built there, each distinct d1/d2 point once per call.  ``term_atoms`` is
+the one definition of a term alpha1 * dipole_j + alpha2 * delta_{x_j} as
+point atoms, shared by the canonical atoms and every reconstruction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .measures import DiscreteSignedMeasure, Domain, Point, euclidean
 
@@ -256,12 +261,39 @@ def pair_components(j: int) -> tuple[int, int]:
     return a, s - a
 
 
+def iter_pairs(cfg: FamilyConfig, indices: Iterable[int]) -> Iterator[FamilyPair]:
+    """The pairs (x_j, y_j) for j in ``indices``, in their order (repeats
+    allowed).  Each distinct d1/d2 point is built once per call: the first
+    n pairs use only O(sqrt(n)) of them, and the terms of a decomposition
+    share many."""
+    points: dict[tuple[FamilyTag, int], FamilyPoint] = {}
+
+    def point(k: int, family: FamilyTag) -> FamilyPoint:
+        if (family, k) not in points:
+            points[family, k] = _point_at(k, cfg, family)
+        return points[family, k]
+
+    for j in indices:
+        a, b = pair_components(j)
+        x, y = point(a, "d1"), point(b, "d2")
+        yield FamilyPair(j, x, y, euclidean(x.coords, y.coords))
+
+
 def family_pair(j: int, cfg: FamilyConfig) -> FamilyPair:
     """The j-th pair (x_j, y_j), j >= 1, walking d1 x d2 anti-diagonals."""
-    a, b = pair_components(j)
-    x = d1_point(a, cfg)
-    y = d2_point(b, cfg)
-    return FamilyPair(j, x, y, euclidean(x.coords, y.coords))
+    return next(iter_pairs(cfg, (j,)))
+
+
+def term_atoms(pair: FamilyPair, alpha1: float, alpha2: float) -> list[tuple[Point, float]]:
+    """Atoms of alpha1 * dipole_j + alpha2 * delta_{x_j}, j = pair.index,
+    where dipole_j = (delta_x - delta_y) / |x - y|."""
+    atoms = []
+    if alpha1 != 0.0:
+        w = alpha1 / pair.separation
+        atoms += [(pair.x.coords, w), (pair.y.coords, -w)]
+    if alpha2 != 0.0:
+        atoms.append((pair.x.coords, alpha2))
+    return atoms
 
 
 def delta_atom(j: int, cfg: FamilyConfig) -> DeltaAtom:
@@ -270,15 +302,9 @@ def delta_atom(j: int, cfg: FamilyConfig) -> DeltaAtom:
     if j < 1:
         raise ValueError("atom index must be >= 1")
     k = (j + 1) // 2
-    pair = family_pair(k, cfg)
-    if j % 2 == 1:
-        w = 1.0 / pair.separation
-        measure = DiscreteSignedMeasure.from_atoms(
-            cfg.domain, [(pair.x.coords, w), (pair.y.coords, -w)]
-        )
-        return DeltaAtom(j, "dipole", k, measure)
-    measure = DiscreteSignedMeasure.from_atoms(cfg.domain, [(pair.x.coords, 1.0)])
-    return DeltaAtom(j, "delta", k, measure)
+    kind, alphas = ("dipole", (1.0, 0.0)) if j % 2 == 1 else ("delta", (0.0, 1.0))
+    atoms = term_atoms(family_pair(k, cfg), *alphas)
+    return DeltaAtom(j, kind, k, DiscreteSignedMeasure.from_atoms(cfg.domain, atoms))
 
 
 def snap_radius(depth: int, cfg: FamilyConfig, which: FamilyTag) -> float:
@@ -328,32 +354,15 @@ def nearest_family_point(
                 best_a, best_v, best_d = a, v, d
         ticks.append(best_a)
     norm_ticks, norm_depth = _normalize(ticks, depth)
-    n = cfg.domain.dim
-    idx = _cum_count(norm_depth - 1, n, which) + _rank_ticks(norm_ticks, norm_depth, n, which)
+    idx = _index_of(norm_ticks, norm_depth, cfg.domain.dim, which)
     point = FamilyPoint(which, idx, norm_depth, norm_ticks, _coords(norm_ticks, norm_depth, cfg, which))
     return point, euclidean(p, point.coords)
-
-
-def iter_pairs(cfg: FamilyConfig, count: int) -> Iterator[FamilyPair]:
-    """family_pair(j, cfg) for j = 1..count.  The first n pairs use only
-    O(sqrt(n)) distinct d1/d2 points, so each is built once per call."""
-    points: dict[tuple[FamilyTag, int], FamilyPoint] = {}
-
-    def point(k: int, family: FamilyTag) -> FamilyPoint:
-        if (family, k) not in points:
-            points[family, k] = _point_at(k, cfg, family)
-        return points[family, k]
-
-    for j in range(1, count + 1):
-        a, b = pair_components(j)
-        x, y = point(a, "d1"), point(b, "d2")
-        yield FamilyPair(j, x, y, euclidean(x.coords, y.coords))
 
 
 def dump_pairs_csv(cfg: FamilyConfig, count: int) -> str:
     """CSV dump `j,x_1..x_n,y_1..y_n,separation` with 17 significant digits."""
     lines = []
-    for pair in iter_pairs(cfg, count):
+    for pair in iter_pairs(cfg, range(1, count + 1)):
         fields = [str(pair.index)]
         fields += [format(c, ".17g") for c in pair.x.coords]
         fields += [format(c, ".17g") for c in pair.y.coords]

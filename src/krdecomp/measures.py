@@ -60,6 +60,8 @@ class Domain:
         for a, b in zip(self.lo, self.hi):
             if not a < b:
                 raise ValueError(f"need lo < hi per axis, got [{a}, {b}]")
+        if not math.isfinite(self.diameter):
+            raise ValueError(f"box {self.lo}..{self.hi} has a diameter beyond the float range")
 
     @property
     def dim(self) -> int:
@@ -95,14 +97,12 @@ class Domain:
 
 
 def _canonical_atoms(
-    domain: Domain,
-    atoms: Iterable[tuple[Sequence[float], float]],
-    drop_below: float = 0.0,
+    domain: Domain, atoms: Iterable[tuple[Sequence[float], float]]
 ) -> tuple[tuple[Point, float], ...]:
     """Merge duplicates by exact coordinate equality, drop zeros, sort.
 
-    The default threshold keeps every nonzero weight so total-variation
-    identities stay exact."""
+    Every nonzero weight is kept so total-variation identities stay
+    exact."""
     buckets: dict[Point, list[float]] = {}
     for i, (point, weight) in enumerate(atoms):
         w = float(weight)
@@ -118,7 +118,7 @@ def _canonical_atoms(
     try:
         for p in sorted(buckets):
             w = math.fsum(buckets[p])
-            if abs(w) > drop_below:
+            if w != 0.0:
                 merged.append((p, w))
         # a finite total variation keeps every later mass and balance sum finite
         math.fsum(abs(w) for _, w in merged)
@@ -136,20 +136,17 @@ class DiscreteSignedMeasure:
 
     @classmethod
     def from_atoms(
-        cls,
-        domain: Domain,
-        atoms: Iterable[tuple[Sequence[float], float]],
-        drop_below: float = 0.0,
+        cls, domain: Domain, atoms: Iterable[tuple[Sequence[float], float]]
     ) -> "DiscreteSignedMeasure":
-        return cls(domain, _canonical_atoms(domain, atoms, drop_below))
+        return cls(domain, _canonical_atoms(domain, atoms))
 
     @classmethod
     def zero(cls, domain: Domain) -> "DiscreteSignedMeasure":
         return cls(domain, ())
 
-    def canonicalize(self, drop_below: float = 0.0) -> "DiscreteSignedMeasure":
+    def canonicalize(self) -> "DiscreteSignedMeasure":
         """Idempotent re-canonicalization (merge, drop zeros, sort)."""
-        return DiscreteSignedMeasure.from_atoms(self.domain, self.atoms, drop_below)
+        return DiscreteSignedMeasure.from_atoms(self.domain, self.atoms)
 
     @property
     def support(self) -> tuple[Point, ...]:

@@ -312,6 +312,62 @@ def test_verify_malformed_field_is_input_error(tmp_path, capsys, field, value):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "j", [2.5, 3.7, True, "2", "3", 0, -1],
+    ids=["2.5", "3.7", "true", "str-2", "str-3", "0", "-1"],
+)
+def test_verify_non_integer_pair_index_is_input_error(tmp_path, capsys, j):
+    # the file's term must name pair 3 exactly; nothing is rounded onto it
+    from krdecomp import term_measure
+
+    m = term_measure(3, 0.5, 0.0, FamilyConfig(DOM2))
+    mpath = write_measure(tmp_path, "m.json", m)
+    dpath = tmp_path / "dec.json"
+    dpath.write_text(json.dumps({"variant": "kr", "terms": [[j, 0.5, 0.0]],
+                                 "l1": 0.5, "residual_norm": 0.0}))
+    assert main(["verify", "--input", mpath, "--dec", str(dpath)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: decomposition term #0 has pair index ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["norm", "--variant", "kr0"], ["norm", "--variant", "kr"],
+     ["decompose", "--variant", "kr0"], ["decompose", "--variant", "kr"], ["verify"]],
+    ids=["norm-kr0", "norm-kr", "decompose-kr0", "decompose-kr", "verify"],
+)
+def test_measure_box_with_overflowing_diameter_is_input_error(tmp_path, capsys, argv):
+    doc = {"dim": 1, "lo": [-1e308], "hi": [1e308],
+           "atoms": [{"point": [0.0], "weight": 1.0}, {"point": [0.5], "weight": -1.0}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    dpath = tmp_path / "dec.json"
+    dpath.write_text(json.dumps({"variant": "kr", "terms": [], "l1": 0.0, "residual_norm": 0.0}))
+    if argv == ["verify"]:
+        argv = argv + ["--dec", str(dpath)]
+    assert main(argv + ["--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: box ") and "diameter beyond the float range" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["family dump", "gen"])
+def test_box_option_with_overflowing_diameter_is_input_error(tmp_path, capsys, command):
+    # the --box= form, since argparse reads a leading '-' as an option
+    argv = command.split() + ["--box=-1e308:1e308"]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "gen")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: box ") and "diameter beyond the float range" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "gen").exists()
+
+
 def test_verify_non_object_file_is_input_error(tmp_path, capsys):
     mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
     (tmp_path / "dec.json").write_text("5\n")

@@ -27,6 +27,7 @@ from krdecomp import (
     verify_term_lower_bound,
 )
 from krdecomp import testfn_eval as witness_eval
+from krdecomp.family import iter_pairs, pair_components, term_atoms
 from conftest import random_measure
 
 DOM2 = Domain.unit(2)
@@ -296,6 +297,66 @@ def test_reconstruct_prefix_residual_nonincreasing():
     ]
     assert all(residuals[i + 1] <= residuals[i] + 1e-12 for i in range(len(residuals) - 1))
     assert residuals[-1] <= 1e-9
+
+
+def _seeded_decompositions(dim):
+    """Greedy kr0/kr and l1 kr0/kr decompositions of seeded measures."""
+    cfg = FamilyConfig(Domain.unit(dim))
+    rng = random.Random(100 + dim)
+    yield decompose_balanced(random_measure(rng, cfg.domain, 6, balanced=True), 1e-6, cfg)
+    yield decompose_full(random_measure(rng, cfg.domain, 6), 1e-6, cfg)
+    pairs = iter_pairs(cfg, range(1, 65))
+    points = sorted({p for pair in pairs for p in (pair.x.coords, pair.y.coords)})
+    for variant in ("kr0", "kr"):
+        weights = [rng.uniform(-1.0, 1.0) for _ in range(5)]
+        if variant == "kr0":
+            weights = [w - sum(weights) / 5 for w in weights]
+        m = DiscreteSignedMeasure.from_atoms(cfg.domain, zip(rng.sample(points, 5), weights))
+        yield decompose_l1_minimal(m, 64, variant, cfg)
+
+
+def _count_point_builds(monkeypatch):
+    import krdecomp.family as family
+
+    built = []
+    real = family._point_at
+
+    def counting(k, cfg, tag):
+        built.append((tag, k))
+        return real(k, cfg, tag)
+
+    monkeypatch.setattr(family, "_point_at", counting)
+    return built
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_reconstruct_is_one_canonicalization_of_the_term_atoms(dim):
+    for dec in _seeded_decompositions(dim):
+        atoms = [
+            a for j, a1, a2 in dec.terms for a in term_atoms(family_pair(j, dec.family), a1, a2)
+        ]
+        assert dec.terms
+        assert reconstruct(dec) == DiscreteSignedMeasure.from_atoms(dec.target.domain, atoms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_reconstruct_builds_each_family_point_once(monkeypatch, dim):
+    shared = False
+    for dec in _seeded_decompositions(dim):
+        distinct = {pt for j, _, _ in dec.terms for pt in zip(("d1", "d2"), pair_components(j))}
+        shared = shared or len(distinct) < 2 * len(dec.terms)
+        built = _count_point_builds(monkeypatch)
+        reconstruct(dec)
+        monkeypatch.undo()
+        assert sorted(built) == sorted(distinct)
+    assert shared  # terms that share points are built fewer times than twice each
+
+
+def test_term_lower_bound_decodes_its_pair_once(monkeypatch):
+    built = _count_point_builds(monkeypatch)
+    chk = verify_term_lower_bound(7, 0.5, -0.25, CFG2, witness_grid=1000)
+    assert chk.witness_lip_norm is not None
+    assert len(built) == 2
 
 
 # -- test functions and bounds ----------------------------------------------

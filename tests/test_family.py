@@ -110,7 +110,29 @@ def test_family_pair_anti_diagonal_order():
 @pytest.mark.parametrize("dim", [1, 2, 5])
 def test_iter_pairs_matches_family_pair(dim):
     cfg = FamilyConfig(Domain.unit(dim))
-    assert list(iter_pairs(cfg, 2048)) == [family_pair(j, cfg) for j in range(1, 2049)]
+    assert list(iter_pairs(cfg, range(1, 2049))) == [family_pair(j, cfg) for j in range(1, 2049)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_iter_pairs_any_index_list(dim):
+    # unsorted and repeated indices, and the terms of a deep greedy
+    # decomposition, decode exactly as one family_pair call each
+    import random
+
+    from conftest import random_measure
+    from krdecomp import decompose_balanced, decompose_full
+
+    cfg = FamilyConfig(Domain.unit(dim))
+    rng = random.Random(dim)
+    decs = [
+        decompose_balanced(random_measure(rng, cfg.domain, 5, balanced=True), 1e-4, cfg, 20),
+        decompose_full(random_measure(rng, cfg.domain, 5), 1e-4, cfg, 20),
+    ]
+    lists = [[9, 3, 3, 1, 120, 2, 9, 57, 1], list(range(400, 0, -7)), []]
+    lists += [[j for j, _, _ in dec.terms] for dec in decs]
+    assert all(dec.terms for dec in decs)
+    for js in lists:
+        assert list(iter_pairs(cfg, js)) == [family_pair(j, cfg) for j in js]
 
 
 def test_pair_index_bijection():

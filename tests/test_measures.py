@@ -171,3 +171,12 @@ def test_domain_diameter():
 def test_domain_rejects_infinite_box():
     with pytest.raises(ValueError, match="finite"):
         Domain((0.0,), (math.inf,))
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [((-1e308,), (1e308,)), ((0.0, 0.0), (1.5e308, 1.5e308))], ids=["side", "diagonal"]
+)
+def test_domain_rejects_box_whose_diagonal_overflows(lo, hi):
+    # finite bounds, but the diameter every norm and bound divides by is inf
+    with pytest.raises(ValueError, match=r"box .* diameter beyond the float range"):
+        Domain(lo, hi)

@@ -171,6 +171,69 @@ def test_kr_dominated_by_kr0_and_tv():
         assert kr_norm(mg).value >= abs(mg.total_mass()) - 1e-9
 
 
+# -- metamorphic relations (seeded measures in dims 1, 2, 5) -----------------
+
+REL = 1e-12
+
+
+def _metamorphic_cases(dim):
+    """(measure, balanced) pairs on the unit box and on [-1, 2]^dim."""
+    rng = random.Random(300 + dim)
+    boxes = (Domain.unit(dim), Domain((-1.0,) * dim, (2.0,) * dim))
+    for i in range(16):
+        balanced = i % 2 == 0
+        yield random_measure(rng, boxes[i // 2 % 2], rng.randint(2, 9), balanced), balanced
+
+
+def _pushed(m, f):
+    """m moved by the coordinate map f, on the image of its box."""
+    dom = Domain(f(m.domain.lo), f(m.domain.hi))
+    return DiscreteSignedMeasure.from_atoms(dom, [(f(p), w) for p, w in m.atoms])
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=REL, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_norms_invariant_under_translation(dim):
+    rng = random.Random(dim)
+    for m, balanced in _metamorphic_cases(dim):
+        t = [rng.uniform(-5.0, 5.0) for _ in range(dim)]
+        moved = _pushed(m, lambda p: tuple(x + s for x, s in zip(p, t)))
+        assert _close(kr_norm(moved).value, kr_norm(m).value)
+        if balanced:
+            assert _close(kr0_norm(moved).value, kr0_norm(m).value)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_kr0_scales_with_the_box(dim):
+    rng = random.Random(10 + dim)
+    for m, balanced in _metamorphic_cases(dim):
+        if balanced:
+            s = rng.uniform(0.1, 10.0)
+            scaled = _pushed(m, lambda p: tuple(s * x for x in p))
+            assert _close(kr0_norm(scaled).value, s * kr0_norm(m).value)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_kr_below_kr0_and_total_variation(dim):
+    for m, balanced in _metamorphic_cases(dim):
+        kr = kr_norm(m).value
+        assert kr <= m.total_variation() * (1.0 + REL)
+        if balanced:
+            assert kr <= kr0_norm(m).value * (1.0 + REL)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_norms_invariant_under_negation(dim):
+    for m, balanced in _metamorphic_cases(dim):
+        neg = m.scaled(-1.0)
+        assert _close(kr_norm(neg).value, kr_norm(m).value)
+        if balanced:
+            assert _close(kr0_norm(neg).value, kr0_norm(m).value)
+
+
 def test_plan_feasibility_and_vertex_support():
     rng = random.Random(13)
     for _ in range(10):
