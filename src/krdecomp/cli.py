@@ -108,14 +108,7 @@ def _norm_csv(payload: dict) -> str:
 
 
 def cmd_norm(args: argparse.Namespace) -> int:
-    try:
-        m = _load_measure(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        result = variant_norm(args.variant, m)
-    except ValueError as exc:
-        return _fail(str(exc))
+    result = variant_norm(args.variant, _load_measure(args.input))
     emit = set(filter(None, (args.emit or "").split(",")))
     payload = _norm_payload(result, emit)
     text = (
@@ -183,32 +176,22 @@ def _number_field(doc: dict, field: str) -> float:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        m = _load_measure(args.input)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    m = _load_measure(args.input)
     cfg = FamilyConfig(m.domain, args.offset)
-    try:
-        if args.method == "l1":
-            dec = decompose_l1_minimal(m, args.truncate, args.variant, cfg)
-        elif args.variant == "kr0":
-            dec = decompose_balanced(m, args.tol, cfg, args.min_depth)
-        else:
-            dec = decompose_full(m, args.tol, cfg, args.min_depth)
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.method == "l1":
+        dec = decompose_l1_minimal(m, args.truncate, args.variant, cfg)
+    elif args.variant == "kr0":
+        dec = decompose_balanced(m, args.tol, cfg, args.min_depth)
+    else:
+        dec = decompose_full(m, args.tol, cfg, args.min_depth)
     _write_out(json.dumps(_dec_to_doc(dec), indent=2) + "\n", args.out)
     return OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        m = _load_measure(args.input)
-        doc = json.loads(Path(args.dec).read_text())
-        dec = _dec_from_doc(doc, m)
-        fresh = variant_norm(dec.variant, m - reconstruct(dec)).value
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    m = _load_measure(args.input)
+    dec = _dec_from_doc(json.loads(Path(args.dec).read_text()), m)
+    fresh = variant_norm(dec.variant, m - reconstruct(dec)).value
     try:
         l1 = math.fsum(abs(a1) + abs(a2) for _, a1, a2 in dec.terms)
     except OverflowError:
@@ -235,36 +218,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    if args.action != "dump":
-        return _fail(f"unknown family action '{args.action}'")
-    try:
-        domain = _parse_box(args.box)
-    except ValueError as exc:
-        return _fail(str(exc))
-    cfg = FamilyConfig(domain, args.offset)
+    cfg = FamilyConfig(_parse_box(args.box), args.offset)
     _write_out(dump_pairs_csv(cfg, args.count), args.out)
     return OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        m = _load_measure(args.input)
-        value = (
-            oracle_kr0(m, args.unit) if args.variant == "kr0" else oracle_kr(m, args.unit)
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    print(_g17(value))
+    m = _load_measure(args.input)
+    oracle = oracle_kr0 if args.variant == "kr0" else oracle_kr
+    print(_g17(oracle(m, args.unit)))
     return OK
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.size < 1:
         return _fail("support size must be >= 1")
-    try:
-        domain = _parse_box(args.box)
-    except ValueError as exc:
-        return _fail(str(exc))
+    domain = _parse_box(args.box)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(args.seed)
@@ -346,11 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place an exception becomes an exit code:
+    an unsolved LP is a failed verification, a bad file or value (unreadable,
+    unwritable, malformed or out of range) an input error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LPSolveError as exc:
         return _fail(str(exc), VERIFY_FAIL)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

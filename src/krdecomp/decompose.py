@@ -37,6 +37,8 @@ from .family import (
 )
 from .measures import DiscreteSignedMeasure, Point, euclidean
 from .solver import (
+    MASS_BALANCE_TOL,
+    LPSolveError,
     TransportEdge,
     TransportPlan,
     kr0_norm,
@@ -147,9 +149,13 @@ class _TermSink:
         a1s.append(alpha1)
         a2s.append(alpha2)
 
-    def emit(self, x: FamilyPoint, y: FamilyPoint, c: float) -> None:
-        """The unnormalized dipole c*(delta_x - delta_y) of a family pair."""
-        self.add(pair_index(x.index, y.index), c * euclidean(x.coords, y.coords))
+    def emit(self, u: FamilyPoint, v: FamilyPoint, c: float) -> None:
+        """The unnormalized dipole c*(delta_u - delta_v) of a family pair,
+        its d1 end given first or second: c*(delta_v - delta_u) is stored
+        as the pair's dipole with coefficient -c."""
+        if u.family == "d2":
+            u, v, c = v, u, -c
+        self.add(pair_index(u.index, v.index), c * euclidean(u.coords, v.coords))
 
     def terms(self) -> tuple[tuple[int, float, float], ...]:
         out = []
@@ -169,10 +175,10 @@ def _chain(
     c: float,
     budget: float,
     sink: _TermSink,
-) -> Optional[tuple[Point, Point, float]]:
+) -> None:
     """Cover c*(delta_p - delta_start) by dipoles of ever deeper snaps of p
-    within the family of ``start``; returns the leftover dipole
-    (p, last snap, c) once its transport cost is within budget."""
+    within the family of ``start``, until the leftover c*(delta_p -
+    delta_snap) costs at most budget to transport."""
     tag = start.family
     other = "d2" if tag == "d1" else "d1"
     cur, d_cur = start, start_dist
@@ -182,17 +188,10 @@ def _chain(
         if nxt.coords == cur.coords:
             continue
         mid, _ = nearest_family_point(p, depth, other, cfg)
-        if tag == "d1":
-            # c*(delta_nxt - delta_cur) routed through the d2 point mid
-            sink.emit(nxt, mid, c)
-            sink.emit(cur, mid, -c)
-        else:
-            sink.emit(mid, cur, c)
-            sink.emit(mid, nxt, -c)
+        # c*(delta_nxt - delta_cur) routed through mid of the other family
+        sink.emit(nxt, mid, c)
+        sink.emit(mid, cur, c)
         cur, d_cur = nxt, d_nxt
-    if d_cur == 0.0:
-        return None
-    return (p, cur.coords, c)
 
 
 def _edge_chains(
@@ -203,27 +202,22 @@ def _edge_chains(
     cfg: FamilyConfig,
     sink: _TermSink,
     min_depth: int,
-) -> list[tuple[Point, Point, float]]:
-    """Decompose the plan-edge contribution mass*(delta_p - delta_q); the
-    orientation with the smaller initial snap error wins."""
+) -> None:
+    """Decompose the plan-edge contribution mass*(delta_p - delta_q): snap
+    p into one family and q into the other, the assignment with the smaller
+    initial snap error winning (d1 for p on a tie)."""
     length = euclidean(p, q)
     depth = min_depth
     while snap_radius(depth, cfg, "d2") > length / 4.0 and depth < _DEPTH_CAP:
         depth += 1
-    xf, dxf = nearest_family_point(p, depth, "d1", cfg)
-    yf, dyf = nearest_family_point(q, depth, "d2", cfg)
-    xr, dxr = nearest_family_point(q, depth, "d1", cfg)
-    yr, dyr = nearest_family_point(p, depth, "d2", cfg)
-    leftovers = []
-    if dxf + dyf <= dxr + dyr:
-        sink.emit(xf, yf, mass)
-        leftovers.append(_chain(p, xf, dxf, depth, cfg, mass, budget / 2, sink))
-        leftovers.append(_chain(q, yf, dyf, depth, cfg, -mass, budget / 2, sink))
-    else:
-        sink.emit(xr, yr, -mass)
-        leftovers.append(_chain(p, yr, dyr, depth, cfg, mass, budget / 2, sink))
-        leftovers.append(_chain(q, xr, dxr, depth, cfg, -mass, budget / 2, sink))
-    return [lo for lo in leftovers if lo is not None]
+    (sp, dp), (sq, dq) = min(
+        [(nearest_family_point(p, depth, fp, cfg), nearest_family_point(q, depth, fq, cfg))
+         for fp, fq in (("d1", "d2"), ("d2", "d1"))],
+        key=lambda snaps: snaps[0][1] + snaps[1][1],
+    )
+    sink.emit(sp, sq, mass)
+    _chain(p, sp, dp, depth, cfg, mass, budget / 2, sink)
+    _chain(q, sq, dq, depth, cfg, -mass, budget / 2, sink)
 
 
 def _greedy_dipoles(
@@ -242,6 +236,13 @@ def _greedy_dipoles(
             _edge_chains(e.target, e.source, e.mass, budget, cfg, sink, min_depth)
 
 
+def _check_greedy_options(tol: float, min_depth: int) -> None:
+    if not tol > 0:  # NaN included
+        raise ValueError(f"tolerance tol must be positive, not {tol!r}")
+    if not 0 <= min_depth <= _DEPTH_CAP:  # no chain runs deeper than the cap
+        raise ValueError(f"min_depth must lie in [0, {_DEPTH_CAP}], not {min_depth!r}")
+
+
 def decompose_balanced(
     m: DiscreteSignedMeasure,
     tol: float,
@@ -253,8 +254,7 @@ def decompose_balanced(
     Solves the optimal transport of m, covers its plan with family dipoles
     and certifies the actual residual with a fresh norm solve.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_greedy_options(tol, min_depth)
     base = kr0_norm(m)
     sink = _TermSink()
     _greedy_dipoles(base.plan, tol, cfg, min_depth, sink)
@@ -279,8 +279,7 @@ def decompose_full(
     at half the tolerance.  The point-mass coefficients therefore sum to
     the total mass of m exactly.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_greedy_options(tol, min_depth)
     sink = _TermSink()
     snap_edges: list[TransportEdge] = []
     if m.atoms:
@@ -318,7 +317,7 @@ def decompose_l1_minimal(
         raise ValueError("variant must be 'kr0' or 'kr'")
     if truncation < 1:
         raise ValueError("truncation size must be >= 1")
-    if variant == "kr0" and not m.is_balanced(1e-10):
+    if variant == "kr0" and not m.is_balanced(MASS_BALANCE_TOL):
         raise ValueError("balanced variant needs a balanced measure")
     if not m.atoms:
         return _certified(m, variant, (), cfg, "l1_minimal")
@@ -359,8 +358,8 @@ def decompose_l1_minimal(
         shape=(nrows, 2 * ncols),
     ).tocsr()
     try:
-        res = _solve_lp(np.ones(2 * ncols), A_eq, b, bounds=(0, None))
-    except RuntimeError as exc:
+        res = _solve_lp(np.ones(2 * ncols), A_eq, b)
+    except LPSolveError as exc:
         raise TruncationCoverageError(
             f"no exact combination over the first {truncation} atoms: {exc}"
         ) from exc
@@ -391,14 +390,8 @@ def reconstruct(
 def _cone(x: Point, alpha1: float, alpha2: float, z: Sequence[float], d: float) -> float:
     """The witness cone around x with slope 1/(d+1), its sign pattern
     selected by (alpha1, alpha2), evaluated at z."""
-    r = euclidean(x, z)
-    if alpha1 >= 0 and alpha2 >= 0:
-        return (1.0 - r) / (d + 1.0)
-    if alpha1 < 0 and alpha2 >= 0:
-        return (1.0 + r) / (d + 1.0)
-    if alpha1 >= 0 and alpha2 < 0:
-        return (-1.0 - r) / (d + 1.0)
-    return (-1.0 + r) / (d + 1.0)
+    s1, s2 = (1.0 if a >= 0 else -1.0 for a in (alpha1, alpha2))
+    return (s2 - s1 * euclidean(x, z)) / (d + 1.0)
 
 
 def testfn_eval(

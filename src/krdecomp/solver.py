@@ -195,19 +195,23 @@ def mcshane_extend(
     return float(_extend(pts, vals, w.lip_bound, np.asarray([z], dtype=float), clip)[0])
 
 
-def _solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=None):
+def _solve_lp(c, A_eq, b_eq):
+    """min c.x subject to A_eq x = b_eq and x >= 0."""
     res = linprog(
         c,
-        A_ub=A_ub,
-        b_ub=b_ub,
         A_eq=A_eq,
         b_eq=b_eq,
-        bounds=bounds,
         method="highs-ds",
         # presolve can leave the recovered plan off its marginals by ~1e-8;
         # the witness is built from the duals, and a dual infeasibility of e
-        # (HiGHS default 1e-7) can cost up to e per unit of mass in the gap
-        options={"presolve": False, "dual_feasibility_tolerance": 1e-10},
+        # (HiGHS default 1e-7) can cost up to e per unit of mass in the gap;
+        # a primal infeasibility of e leaves the plan off its marginals by e,
+        # and the gap pays for that repair too
+        options={
+            "presolve": False,
+            "dual_feasibility_tolerance": 1e-10,
+            "primal_feasibility_tolerance": 1e-10,
+        },
     )
     if res.status != 0:
         raise LPSolveError(f"LP solve failed (status {res.status}): {res.message}")
@@ -243,7 +247,7 @@ def _transport_lp(
         (np.ones(len(rows)), (rows, cols)), shape=(ns + nt, len(cost))
     ).tocsr()
     b_eq = np.concatenate([np.asarray(supplies, float), np.asarray(demands, float)])
-    res = _solve_lp(cost, A_eq, b_eq, bounds=(0, None))
+    res = _solve_lp(cost, A_eq, b_eq)
     x, u = res.x, res.eqlin.marginals[:ns]
     return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], u
 

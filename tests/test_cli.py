@@ -354,6 +354,53 @@ def test_measure_box_with_overflowing_diameter_is_input_error(tmp_path, capsys, 
     assert len(err.splitlines()) == 1
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["norm", "decompose", "verify", "family dump", "gen"])
+def test_unwritable_out_is_input_error(tmp_path, capsys, command):
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
+    argv = {
+        "norm": ["norm", "--input", mpath, "--variant", "kr"],
+        "decompose": ["decompose", "--input", mpath, "--variant", "kr"],
+        "verify": ["verify", "--input", mpath, "--dec", dpath],
+        "family dump": ["family", "dump"],
+        "gen": ["gen"],
+    }[command]
+    # gen's --out is a directory, and an existing file cannot become one
+    out = mpath if command == "gen" else str(tmp_path / "missing" / "out.json")
+    assert main(argv + ["--out", out]) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv", [["decompose", "--offset", "1.5"], ["family", "dump", "--offset", "0"]]
+)
+def test_offset_out_of_range_is_input_error(tmp_path, capsys, argv):
+    if argv[0] == "decompose":
+        argv = argv + ["--input", write_measure(tmp_path, "d.json", dirac(DOM2, (0.5, 0.5)))]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == "error: offset must lie in (0, 1)\n"
+
+
+@pytest.mark.parametrize("variant", ["kr0", "kr"])
+@pytest.mark.parametrize(
+    "option, value, name",
+    [("--tol", "nan", "tol"), ("--min-depth", "-2", "min_depth"),
+     ("--min-depth", "100000", "min_depth")],
+)
+def test_decompose_bad_option_is_input_error(tmp_path, capsys, variant, option, value, name):
+    m = dirac(DOM2, (0.25, 0.75)) - dirac(DOM2, (0.5, 0.5))
+    path = write_measure(tmp_path, "m.json", m)
+    argv = ["decompose", "--input", path, "--variant", variant, option, value]
+    assert main(argv) == 1
+    assert name in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["family dump", "gen"])
 def test_box_option_with_overflowing_diameter_is_input_error(tmp_path, capsys, command):
     # the --box= form, since argparse reads a leading '-' as an option

@@ -527,3 +527,28 @@ def test_atom_norms_small_sample():
             assert kr_norm(atom.measure).value == pytest.approx(expected, abs=1e-9)
         else:
             assert kr_norm(atom.measure).value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_term_sink_emit_takes_either_end_first():
+    from krdecomp.decompose import _TermSink
+    from krdecomp.family import nearest_family_point
+
+    x, _ = nearest_family_point((0.3, 0.6), 3, "d1", CFG2)
+    y, _ = nearest_family_point((0.7, 0.2), 4, "d2", CFG2)
+    forward, backward = _TermSink(), _TermSink()
+    forward.emit(x, y, 0.37)
+    backward.emit(y, x, -0.37)
+    assert forward.terms() == backward.terms()
+    (j, a1, a2), = forward.terms()
+    assert family_pair(j, CFG2).x == x and a1 > 0 and a2 == 0.0
+
+
+@pytest.mark.parametrize("construct", [decompose_balanced, decompose_full])
+@pytest.mark.parametrize(
+    "tol, min_depth, name",
+    [(float("nan"), 0, "tol"), (1e-4, -2, "min_depth"), (1e-4, 100000, "min_depth")],
+)
+def test_greedy_rejects_bad_options_by_name(construct, tol, min_depth, name):
+    m = dipole(DOM2, (0.1, 0.2), (0.7, 0.4), 1.0)
+    with pytest.raises(ValueError, match=name):
+        construct(m, tol, CFG2, min_depth)

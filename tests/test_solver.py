@@ -320,6 +320,39 @@ def test_plan_meets_marginals_on_presolve_instance(tmp_path, capsys):
     assert res.value >= res.potential.pair_with(m) - 1e-12
 
 
+def test_plan_meets_marginals_at_primal_tolerance(tmp_path, capsys):
+    # at HiGHS's default primal feasibility tolerance (1e-7) this plan was
+    # 8.4e-8 off its marginals and the gap 1.84e-7, above GAP_TOL
+    from krdecomp import GAP_TOL, measure_from_json
+    from krdecomp.cli import main
+
+    argv = ["gen", "--seed", "1138553402", "--count", "12", "--size", "40",
+            "--box", "0:1,0:1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    m = measure_from_json((tmp_path / "measure_0001.json").read_text())
+    res = kr_norm(m)
+    assert res.gap <= GAP_TOL
+    assert res.plan.balance_gap(m) <= 1e-12
+
+
+@pytest.mark.parametrize("excess", [9.9e-11, -9.9e-11])
+def test_kr0_solves_imbalance_inside_balance_tolerance(excess):
+    # the transport LP is then infeasible by |excess|, just inside the
+    # LP's primal feasibility tolerance
+    from krdecomp import GAP_TOL, MASS_BALANCE_TOL
+
+    atoms = [((0.1, 0.2), 0.5), ((0.8, 0.3), 0.25), ((0.4, 0.9), -0.4), ((0.6, 0.6), -0.35)]
+    exact = kr0_norm(DiscreteSignedMeasure.from_atoms(DOM2, atoms))
+    atoms[0] = (atoms[0][0], 0.5 + excess)
+    m = DiscreteSignedMeasure.from_atoms(DOM2, atoms)
+    assert m.is_balanced(MASS_BALANCE_TOL) and not m.is_balanced(abs(excess) / 2)
+    res = kr0_norm(m)
+    assert res.value == pytest.approx(exact.value, abs=1e-9)
+    assert res.gap <= GAP_TOL
+    assert res.plan.balance_gap(m) <= MASS_BALANCE_TOL
+
+
 @pytest.mark.parametrize("norm, balanced", [(kr0_norm, True), (kr_norm, False)])
 def test_gap_counts_plan_imbalance(monkeypatch, norm, balanced):
     import krdecomp.solver
