@@ -63,6 +63,7 @@ from .solver import (
     DuplicatePointError,
     EmptyPotentialError,
     LPSolveError,
+    LPStats,
     NormResult,
     TransportEdge,
     TransportPlan,

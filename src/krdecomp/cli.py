@@ -66,6 +66,11 @@ def _parse_box(spec: str) -> Domain:
     return Domain(tuple(lo), tuple(hi))
 
 
+def _check_nonnegative(option: str, value: float) -> None:
+    if not value >= 0:  # NaN included
+        raise ValueError(f"option {option} must be >= 0, not {value!r}")
+
+
 def _g17(v: float) -> str:
     return format(v, ".17g")
 
@@ -108,6 +113,7 @@ def _norm_csv(payload: dict) -> str:
 
 
 def cmd_norm(args: argparse.Namespace) -> int:
+    _check_nonnegative("--tol", args.tol)
     result = variant_norm(args.variant, _load_measure(args.input))
     emit = set(filter(None, (args.emit or "").split(",")))
     payload = _norm_payload(result, emit)
@@ -189,6 +195,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_nonnegative("--tol", args.tol)
+    _check_nonnegative("--check-terms", args.check_terms)
     m = _load_measure(args.input)
     dec = _dec_from_doc(json.loads(Path(args.dec).read_text()), m)
     fresh = variant_norm(dec.variant, m - reconstruct(dec)).value

@@ -358,12 +358,12 @@ def decompose_l1_minimal(
         shape=(nrows, 2 * ncols),
     ).tocsr()
     try:
-        res = _solve_lp(np.ones(2 * ncols), A_eq, b)
+        x = _solve_lp(np.ones(2 * ncols), A_eq, b).x
     except LPSolveError as exc:
         raise TruncationCoverageError(
             f"no exact combination over the first {truncation} atoms: {exc}"
         ) from exc
-    alpha = (res.x[:ncols] - res.x[ncols:]).reshape(len(pairs), slots)
+    alpha = (x[:ncols] - x[ncols:]).reshape(len(pairs), slots)
     sink = _TermSink()
     for k in np.flatnonzero(alpha.any(axis=1)):
         sink.add(pairs[k].index, *map(float, alpha[k]))

@@ -38,8 +38,8 @@ class InstanceTooLargeError(ValueError):
 
 def quantize(m: DiscreteSignedMeasure, unit: float) -> tuple[list[Point], list[Point]]:
     """Replicate atoms into unit-mass copies: (positive units, negative units)."""
-    if unit <= 0:
-        raise QuantizationError("unit must be positive")
+    if not (math.isfinite(unit) and unit > 0):
+        raise QuantizationError(f"unit (--unit) must be finite and > 0, not {unit!r}")
     pos: list[Point] = []
     neg: list[Point] = []
     for p, w in m.atoms:

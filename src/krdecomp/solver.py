@@ -18,7 +18,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+    kHighsInf,
+)
 
 from .measures import DiscreteSignedMeasure, Point, euclidean
 
@@ -37,6 +43,7 @@ __all__ = [
     "TransportPlan",
     "DualPotential",
     "NormResult",
+    "LPStats",
     "kr0_norm",
     "kr_norm",
     "variant_norm",
@@ -131,11 +138,24 @@ class DualPotential:
 
 
 @dataclass(frozen=True)
+class LPStats:
+    """What one HiGHS solve did: the LP's size, how it ended, and the
+    simplex iterations it took."""
+
+    rows: int
+    cols: int
+    nnz: int
+    status: str
+    iterations: int
+
+
+@dataclass(frozen=True)
 class NormResult:
     value: float
     plan: TransportPlan
     potential: DualPotential
     gap: float
+    lp: Optional[LPStats] = None  # None when no LP was solved
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,27 +215,58 @@ def mcshane_extend(
     return float(_extend(pts, vals, w.lip_bound, np.asarray([z], dtype=float), clip)[0])
 
 
-def _solve_lp(c, A_eq, b_eq):
-    """min c.x subject to A_eq x = b_eq and x >= 0."""
-    res = linprog(
-        c,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        method="highs-ds",
-        # presolve can leave the recovered plan off its marginals by ~1e-8;
-        # the witness is built from the duals, and a dual infeasibility of e
-        # (HiGHS default 1e-7) can cost up to e per unit of mass in the gap;
-        # a primal infeasibility of e leaves the plan off its marginals by e,
-        # and the gap pays for that repair too
-        options={
-            "presolve": False,
-            "dual_feasibility_tolerance": 1e-10,
-            "primal_feasibility_tolerance": 1e-10,
-        },
+# presolve can leave the recovered plan off its marginals by ~1e-8; the
+# witness is built from the duals, and a dual infeasibility of e (HiGHS
+# default 1e-7) can cost up to e per unit of mass in the gap; a primal
+# infeasibility of e leaves the plan off its marginals by e, and the gap
+# pays for that repair too
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("solver", "simplex"),
+    ("simplex_strategy", 1),  # dual simplex
+    ("presolve", "off"),
+    ("dual_feasibility_tolerance", 1e-10),
+    ("primal_feasibility_tolerance", 1e-10),
+)
+
+
+class _LPSolution(NamedTuple):
+    x: np.ndarray
+    duals: np.ndarray  # one per row; y with c - A^T y >= 0 at the optimum
+    lp: LPStats
+
+
+def _solve_lp(c, A_eq, b_eq) -> _LPSolution:
+    """min c.x subject to A_eq x = b_eq and x >= 0, by one dual simplex run
+    of a fresh HiGHS instance."""
+    A = sp.csc_matrix(A_eq)
+    c, b = np.asarray(c, dtype=float), np.asarray(b_eq, dtype=float)
+    rows, cols = A.shape
+    if c.shape != (cols,) or b.shape != (rows,):
+        # HiGHS reads cols costs and rows bounds from the buffers unchecked
+        raise ValueError(f"LP of shape {A.shape} with {c.shape} costs, {b.shape} bounds")
+    for name, v in (("costs", c), ("matrix", A.data), ("right-hand side", b)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"LP {name} must be finite")
+    highs = _Highs()
+    for key, value in _HIGHS_OPTIONS:
+        highs.setOptionValue(key, value)
+    # the array form of passModel copies the buffers, where assigning them to
+    # a HighsLp converts element by element
+    start, index = (a.astype(np.int32, copy=False) for a in (A.indptr, A.indices))
+    highs.passModel(
+        cols, rows, A.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        c, np.zeros(cols), np.full(cols, kHighsInf), b, b, start, index, A.data,
+        np.zeros(cols, dtype=np.int32),  # every column continuous
     )
-    if res.status != 0:
-        raise LPSolveError(f"LP solve failed (status {res.status}): {res.message}")
-    return res
+    highs.run()
+    status = highs.getModelStatus()
+    name = highs.modelStatusToString(status)
+    if status != HighsModelStatus.kOptimal:
+        raise LPSolveError(f"LP solve failed (status {int(status)}): {name}")
+    sol = highs.getSolution()
+    stats = LPStats(rows, cols, A.nnz, name, highs.getInfo().simplex_iteration_count)
+    return _LPSolution(np.array(sol.col_value), np.array(sol.row_dual), stats)
 
 
 def _transport_lp(
@@ -228,8 +279,8 @@ def _transport_lp(
     """Min-cost transport from sources to sinks (rows of point arrays); with
     ``bank`` every node may additionally create/destroy mass at unit cost.
 
-    Returns (flow[ns, nt], destroyed, created, source duals u[ns]); without
-    ``bank`` destroyed and created are empty.
+    Returns (flow[ns, nt], destroyed, created, source duals u[ns], LP stats);
+    without ``bank`` destroyed and created are empty.
     """
     ns, nt = len(sources), len(sinks)
     nx = ns * nt
@@ -247,9 +298,8 @@ def _transport_lp(
         (np.ones(len(rows)), (rows, cols)), shape=(ns + nt, len(cost))
     ).tocsr()
     b_eq = np.concatenate([np.asarray(supplies, float), np.asarray(demands, float)])
-    res = _solve_lp(cost, A_eq, b_eq)
-    x, u = res.x, res.eqlin.marginals[:ns]
-    return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], u
+    x, duals, lp = _solve_lp(cost, A_eq, b_eq)
+    return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], duals[:ns], lp
 
 
 def _certified_potential(
@@ -314,7 +364,7 @@ def _kr(m: DiscreteSignedMeasure, bank: bool) -> NormResult:
     dim = m.domain.dim
     sources = np.array(neg.support, dtype=float).reshape(-1, dim)
     sinks = np.array(pos.support, dtype=float).reshape(-1, dim)
-    flow, destroyed, created, u = _transport_lp(
+    flow, destroyed, created, u, lp = _transport_lp(
         sources, neg.weights, sinks, pos.weights, bank
     )
     plan = _plan_from_flow(
@@ -326,7 +376,8 @@ def _kr(m: DiscreteSignedMeasure, bank: bool) -> NormResult:
     witness = _certified_potential(m.support, raw, box=bank)
     value = plan.cost()
     repair = math.fsum(plan._imbalances(m)) * (1.0 if bank else m.domain.diameter)
-    return NormResult(value, plan, witness, value + repair - witness.pair_with(m))
+    gap = value + repair - witness.pair_with(m)
+    return NormResult(value, plan, witness, gap, lp)
 
 
 def kr0_norm(m: DiscreteSignedMeasure) -> NormResult:

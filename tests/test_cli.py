@@ -277,8 +277,6 @@ def test_verify_rejects_point_mass_in_kr0_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["norm", "decompose", "verify"])
 def test_solver_failure_exits_two(tmp_path, capsys, monkeypatch, command):
-    from types import SimpleNamespace
-
     import krdecomp.solver
 
     mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
@@ -287,8 +285,14 @@ def test_solver_failure_exits_two(tmp_path, capsys, monkeypatch, command):
         "decompose": ["decompose", "--input", mpath, "--variant", "kr"],
         "verify": ["verify", "--input", mpath, "--dec", dpath],
     }[command]
-    failed = SimpleNamespace(status=4, message="numerical difficulties", x=None, fun=None)
-    monkeypatch.setattr(krdecomp.solver, "linprog", lambda *a, **k: failed)
+    real = krdecomp.solver._Highs
+    solve_error = krdecomp.solver.HighsModelStatus.kSolveError  # status 4
+
+    class Failing(real):
+        def getModelStatus(self):
+            return solve_error
+
+    monkeypatch.setattr(krdecomp.solver, "_Highs", Failing)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: LP solve failed (status 4)")
@@ -399,6 +403,36 @@ def test_decompose_bad_option_is_input_error(tmp_path, capsys, variant, option, 
     argv = ["decompose", "--input", path, "--variant", variant, option, value]
     assert main(argv) == 1
     assert name in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("norm", "--tol", "nan"), ("norm", "--tol", "-1"), ("verify", "--tol", "nan"),
+     ("verify", "--tol", "-0.5"), ("verify", "--check-terms", "-3")],
+)
+def test_norm_verify_bad_option_is_input_error(tmp_path, capsys, command, option, value):
+    # rejected by name before any solve, not reported as a failed verification
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
+    # the --opt=value form, since argparse reads a leading "-" as an option
+    argv = [command, "--input", mpath, f"{option}={value}"]
+    if command == "verify":
+        argv += ["--dec", dpath]
+    assert main(argv) == 1
+    assert _one_error_line(capsys).startswith(f"error: option {option} must be >= 0, not {value}")
+
+
+@pytest.mark.parametrize("unit", ["nan", "inf", "0", "-0.5"])
+def test_oracle_unit_not_finite_positive_is_input_error(tmp_path, capsys, unit):
+    # at --unit inf every weight rounded to 0 units, and the oracle printed
+    # 0 for a measure of norm 0.387
+    assert main(["gen", "--seed", "3", "--size", "6", "--balanced", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    mpath = str(tmp_path / "measure_0000.json")
+    assert main(["oracle", "--input", mpath, "--variant", "kr", "--unit", unit]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unit (--unit) must be finite and > 0")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["family dump", "gen"])

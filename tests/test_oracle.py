@@ -17,6 +17,7 @@ from krdecomp import (
     oracle_dual_grid,
     oracle_kr,
     oracle_kr0,
+    quantize,
 )
 from conftest import random_quantized
 
@@ -53,6 +54,13 @@ def test_oracle_errors():
         oracle_kr0(dirac(DOM2, (0.1, 0.2)), 1.0)  # unbalanced unit counts
     with pytest.raises(InstanceTooLargeError):
         oracle_kr(dirac(DOM2, (0.1, 0.2)).scaled(13.0), 1.0)
+
+
+@pytest.mark.parametrize("unit", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+def test_quantize_rejects_unit_not_finite_positive(unit):
+    m = dipole(DOM2, (0.0, 0.0), (1.0, 1.0), 0.5)
+    with pytest.raises(QuantizationError, match="--unit"):
+        quantize(m, unit)
 
 
 def test_oracle_agreement_with_solver():

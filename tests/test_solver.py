@@ -359,15 +359,15 @@ def test_gap_counts_plan_imbalance(monkeypatch, norm, balanced):
 
     m = random_measure(random.Random(31), DOM2, 8, balanced=balanced)
     exact = norm(m)
-    real = krdecomp.solver.linprog
+    real = krdecomp.solver._solve_lp
 
     def off_by_1e6(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.x = res.x.copy()
-        res.x[0] += 1e-6  # the flow of the first source to the first sink
-        return res
+        sol = real(*args, **kwargs)
+        x = sol.x.copy()
+        x[0] += 1e-6  # the flow of the first source to the first sink
+        return sol._replace(x=x)
 
-    monkeypatch.setattr(krdecomp.solver, "linprog", off_by_1e6)
+    monkeypatch.setattr(krdecomp.solver, "_solve_lp", off_by_1e6)
     skewed = norm(m)
     assert skewed.plan.balance_gap(m) >= 1e-6 - 1e-15
     assert skewed.gap >= exact.gap + 1e-6
@@ -441,3 +441,93 @@ def test_transport_lp_matrix_and_plan_order_match_loop_reference(monkeypatch, ba
     loop += [(None, p[j], created[j]) for j in range(nt) if created[j] > 0]
     plan = solver._plan_from_flow(q, p, flow, destroyed, created, 1.0)
     assert list(plan.edges) == loop
+
+
+def _linprog_solve(c, A_eq, b_eq):
+    """The same LP through scipy's linprog wrapper, with the seam's options."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    res = linprog(
+        c, A_eq=A_eq, b_eq=b_eq, method="highs-ds",
+        options={
+            "presolve": False,
+            "dual_feasibility_tolerance": 1e-10,
+            "primal_feasibility_tolerance": 1e-10,
+        },
+    )
+    assert res.status == 0, res.message
+    return np.asarray(res.x), np.asarray(res.eqlin.marginals)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("norm, balanced", [(kr0_norm, True), (kr_norm, False)])
+@pytest.mark.parametrize("size", [6, 40, 160])
+def test_direct_highs_matches_linprog(monkeypatch, dim, norm, balanced, size):
+    import numpy as np
+
+    import krdecomp.solver as solver
+
+    m = random_measure(random.Random(1000 * dim + size), Domain.unit(dim), size, balanced)
+    direct = norm(m)
+    real = solver._solve_lp
+    solved = []
+
+    def through_linprog(c, A_eq, b_eq):
+        sol = real(c, A_eq, b_eq)
+        x, duals = _linprog_solve(c, A_eq, b_eq)
+        assert np.array_equal(sol.x, x)
+        assert np.array_equal(sol.duals, duals)
+        solved.append(sol.lp)
+        return sol._replace(x=x, duals=duals)
+
+    monkeypatch.setattr(solver, "_solve_lp", through_linprog)
+    wrapped = norm(m)
+    assert solved == [direct.lp]
+    assert (wrapped.value, wrapped.gap) == (direct.value, direct.gap)
+    assert wrapped.plan == direct.plan
+    assert wrapped.potential == direct.potential
+
+
+@pytest.mark.parametrize("variant", ["kr0", "kr"])
+def test_direct_highs_matches_linprog_on_l1_program(monkeypatch, variant):
+    import numpy as np
+
+    import krdecomp.decompose as decompose
+    from krdecomp import FamilyConfig, decompose_l1_minimal, delta_atom
+
+    cfg = FamilyConfig(DOM2)
+    m = delta_atom(9, cfg).measure.scaled(0.6) + delta_atom(21, cfg).measure
+    if variant == "kr":
+        m = m + delta_atom(30, cfg).measure.scaled(-0.2)
+    real = decompose._solve_lp
+    solved = []
+
+    def through_linprog(c, A_eq, b_eq):
+        sol = real(c, A_eq, b_eq)
+        x, duals = _linprog_solve(c, A_eq, b_eq)
+        assert np.array_equal(sol.x, x)
+        assert np.array_equal(sol.duals, duals)
+        solved.append(sol.lp)
+        return sol
+
+    monkeypatch.setattr(decompose, "_solve_lp", through_linprog)
+    dec = decompose_l1_minimal(m, 300, variant, cfg)
+    assert len(solved) == 1 and solved[0].status == "Optimal"
+    assert dec.residual_norm <= 1e-9
+
+
+@pytest.mark.parametrize("norm, balanced, bank", [(kr0_norm, True, 0), (kr_norm, False, 1)])
+def test_norm_records_its_lp(norm, balanced, bank):
+    m = random_measure(random.Random(41), DOM2, 9, balanced=balanced)
+    ns = sum(1 for w in m.weights if w < 0)
+    nt = len(m.atoms) - ns
+    lp = norm(m).lp
+    assert (lp.rows, lp.cols, lp.nnz) == (
+        ns + nt, ns * nt + bank * (ns + nt), 2 * ns * nt + bank * (ns + nt)
+    )
+    assert lp.status == "Optimal"
+    assert lp.iterations > 0
+    # no LP behind the zero measure
+    assert kr0_norm(DiscreteSignedMeasure.from_atoms(DOM2, [])).lp is None
+    assert kr_norm(DiscreteSignedMeasure.from_atoms(DOM2, [])).lp is None
