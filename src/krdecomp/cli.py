@@ -197,6 +197,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_nonnegative("--tol", args.tol)
     _check_nonnegative("--check-terms", args.check_terms)
+    if args.ratio_floor is not None:
+        _check_nonnegative("--ratio-floor", args.ratio_floor)
     m = _load_measure(args.input)
     dec = _dec_from_doc(json.loads(Path(args.dec).read_text()), m)
     fresh = variant_norm(dec.variant, m - reconstruct(dec)).value

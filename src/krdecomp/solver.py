@@ -139,14 +139,16 @@ class DualPotential:
 
 @dataclass(frozen=True)
 class LPStats:
-    """What one HiGHS solve did: the LP's size, how it ended, and the
-    simplex iterations it took."""
+    """What one LP solve did: the size of the last LP HiGHS ran, how it
+    ended, the simplex iterations summed over its runs, and the number of
+    runs (pricing rounds, for a transport LP)."""
 
     rows: int
     cols: int
     nnz: int
     status: str
     iterations: int
+    rounds: int
 
 
 @dataclass(frozen=True)
@@ -220,14 +222,23 @@ def mcshane_extend(
 # default 1e-7) can cost up to e per unit of mass in the gap; a primal
 # infeasibility of e leaves the plan off its marginals by e, and the gap
 # pays for that repair too
+_DUAL_TOL = 1e-10
 _HIGHS_OPTIONS = (
     ("output_flag", False),
     ("solver", "simplex"),
     ("simplex_strategy", 1),  # dual simplex
     ("presolve", "off"),
-    ("dual_feasibility_tolerance", 1e-10),
+    ("dual_feasibility_tolerance", _DUAL_TOL),
     ("primal_feasibility_tolerance", 1e-10),
 )
+# adding columns keeps the last basis primal feasible, so a re-run starts
+# there with primal simplex
+_PRIMAL_SIMPLEX = 4
+
+# column generation: nearest edges per line in the first LP, most negative
+# reduced costs per line added by each pricing round
+_SEED_EDGES = 6
+_PRICED_EDGES = 3
 
 
 class _LPSolution(NamedTuple):
@@ -236,37 +247,103 @@ class _LPSolution(NamedTuple):
     lp: LPStats
 
 
-def _solve_lp(c, A_eq, b_eq) -> _LPSolution:
-    """min c.x subject to A_eq x = b_eq and x >= 0, by one dual simplex run
-    of a fresh HiGHS instance."""
-    A = sp.csc_matrix(A_eq)
-    c, b = np.asarray(c, dtype=float), np.asarray(b_eq, dtype=float)
-    rows, cols = A.shape
-    if c.shape != (cols,) or b.shape != (rows,):
-        # HiGHS reads cols costs and rows bounds from the buffers unchecked
-        raise ValueError(f"LP of shape {A.shape} with {c.shape} costs, {b.shape} bounds")
-    for name, v in (("costs", c), ("matrix", A.data), ("right-hand side", b)):
+def _highs(c, start, index, value, b) -> _Highs:
+    """A fresh HiGHS instance holding min c.x subject to A x = b and x >= 0,
+    with A given column-wise by the CSC arrays start, index and value."""
+    start, index = (a.astype(np.int32, copy=False) for a in (start, index))
+    rows, cols = len(b), len(c)
+    for name, v in (("costs", c), ("matrix", value), ("right-hand side", b)):
         if not np.isfinite(v).all():
             raise ValueError(f"LP {name} must be finite")
     highs = _Highs()
-    for key, value in _HIGHS_OPTIONS:
-        highs.setOptionValue(key, value)
+    for key, option in _HIGHS_OPTIONS:
+        highs.setOptionValue(key, option)
     # the array form of passModel copies the buffers, where assigning them to
     # a HighsLp converts element by element
-    start, index = (a.astype(np.int32, copy=False) for a in (A.indptr, A.indices))
     highs.passModel(
-        cols, rows, A.nnz, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
-        c, np.zeros(cols), np.full(cols, kHighsInf), b, b, start, index, A.data,
+        cols, rows, len(value), MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        c, np.zeros(cols), np.full(cols, kHighsInf), b, b, start, index, value,
         np.zeros(cols, dtype=np.int32),  # every column continuous
     )
+    return highs
+
+
+def _run(highs: _Highs, before: Optional[LPStats] = None) -> LPStats:
+    """Run HiGHS on its current model; raise LPSolveError unless it ends
+    optimal.  The stats count this run on top of the runs in ``before``."""
     highs.run()
     status = highs.getModelStatus()
     name = highs.modelStatusToString(status)
     if status != HighsModelStatus.kOptimal:
         raise LPSolveError(f"LP solve failed (status {int(status)}): {name}")
+    rounds, iterations = (before.rounds, before.iterations) if before else (0, 0)
+    return LPStats(
+        highs.getNumRow(), highs.getNumCol(), highs.getNumNz(), name,
+        iterations + highs.getInfo().simplex_iteration_count, rounds + 1,
+    )
+
+
+def _solve_lp(c, A_eq, b_eq) -> _LPSolution:
+    """min c.x subject to A_eq x = b_eq and x >= 0, by one dual simplex run
+    of a fresh HiGHS instance."""
+    A = sp.csc_matrix(A_eq)
+    c, b = np.asarray(c, dtype=float), np.asarray(b_eq, dtype=float)
+    if c.shape != (A.shape[1],) or b.shape != (A.shape[0],):
+        # HiGHS reads cols costs and rows bounds from the buffers unchecked
+        raise ValueError(f"LP of shape {A.shape} with {c.shape} costs, {b.shape} bounds")
+    highs = _highs(c, A.indptr, A.indices, A.data, b)
+    lp = _run(highs)
     sol = highs.getSolution()
-    stats = LPStats(rows, cols, A.nnz, name, highs.getInfo().simplex_iteration_count)
-    return _LPSolution(np.array(sol.col_value), np.array(sol.row_dual), stats)
+    return _LPSolution(np.array(sol.col_value), np.array(sol.row_dual), lp)
+
+
+def _line_minima(a: np.ndarray, k: int) -> np.ndarray:
+    """Sorted flat indices of the k smallest entries of each row and of each
+    column of a (the whole line when it is shorter)."""
+    if not a.size:
+        return np.zeros(0, dtype=np.intp)
+    flat = np.arange(a.size).reshape(a.shape)
+    picks = []
+    # k argmin passes over all lines at once beat one argpartition per line
+    for lines, ids in ((a.copy(), flat), (a.T.copy(), flat.T)):
+        every = np.arange(len(lines))
+        for _ in range(min(k, lines.shape[1])):
+            j = lines.argmin(axis=1)
+            picks.append(ids[every, j])
+            lines[every, j] = np.inf
+    return np.unique(np.concatenate(picks))
+
+
+def _north_west_corner(supplies: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the north-west-corner plan's edges: the
+    staircase from (0, 0) to (ns - 1, nt - 1) that ships the supplies in
+    order onto the demands in order, feasible for balanced marginals."""
+    s, d = np.cumsum(supplies)[:-1], np.cumsum(demands)[:-1]
+    # each edge carries the mass between two consecutive breakpoints
+    starts = np.unique(np.concatenate([[0.0], s, d]))
+    i, j = np.searchsorted(s, starts, "right"), np.searchsorted(d, starts, "right")
+    return i * len(demands) + j
+
+
+def _columns(ids: np.ndarray, dist: np.ndarray):
+    """Costs and CSC arrays (start, index, value) of the transport LP's
+    columns ``ids``.  Id i * nt + j < ns * nt ships from source i to sink j
+    at cost dist[i, j] and enters rows i and ns + j; id ns * nt + r is row
+    r's bank column, at unit cost."""
+    ns, nt = dist.shape
+    nx = ns * nt
+    flow = ids < nx
+    f = ids[flow]
+    cost = np.ones(len(ids))
+    cost[flow] = dist.ravel()[f]
+    start = np.zeros(len(ids) + 1, dtype=np.int32)
+    start[1:] = np.cumsum(np.where(flow, 2, 1))
+    index = np.empty(start[-1], dtype=np.int32)
+    head = start[:-1]
+    index[head[flow]] = f // nt
+    index[head[flow] + 1] = ns + f % nt
+    index[head[~flow]] = ids[~flow] - nx
+    return cost, start, index, np.ones(start[-1])
 
 
 def _transport_lp(
@@ -279,27 +356,46 @@ def _transport_lp(
     """Min-cost transport from sources to sinks (rows of point arrays); with
     ``bank`` every node may additionally create/destroy mass at unit cost.
 
+    Solved by column generation on one HiGHS instance (see the module
+    docstring); the loop ends when no edge outside the LP prices below
+    -_DUAL_TOL.
+
     Returns (flow[ns, nt], destroyed, created, source duals u[ns], LP stats);
     without ``bank`` destroyed and created are empty.
     """
     ns, nt = len(sources), len(sinks)
     nx = ns * nt
-    cost = np.ones(nx + (ns + nt if bank else 0))
-    cost[:nx] = _distances(sources, sinks).ravel()
-    # flow variable i * nt + j enters source row i and sink row ns + j; the
-    # bank's destroy/create variables follow, one per row
-    rows = [np.repeat(np.arange(ns), nt), ns + np.tile(np.arange(nt), ns)]
-    cols = [np.arange(nx), np.arange(nx)]
+    dist = _distances(sources, sinks)
+    if not np.isfinite(dist).all():
+        raise ValueError("LP costs must be finite")
+    supplies, demands = np.asarray(supplies, float), np.asarray(demands, float)
+    ids = _line_minima(dist, _SEED_EDGES)
     if bank:
-        rows.append(np.arange(ns + nt))
-        cols.append(nx + np.arange(ns + nt))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    A_eq = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(ns + nt, len(cost))
-    ).tocsr()
-    b_eq = np.concatenate([np.asarray(supplies, float), np.asarray(demands, float)])
-    x, duals, lp = _solve_lp(cost, A_eq, b_eq)
-    return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], duals[:ns], lp
+        ids = np.concatenate([ids, nx + np.arange(ns + nt)])
+    else:
+        ids = np.union1d(ids, _north_west_corner(supplies, demands))
+    highs = _highs(*_columns(ids, dist), np.concatenate([supplies, demands]))
+    lp = None
+    while True:
+        lp = _run(highs, lp)
+        sol = highs.getSolution()
+        y = np.array(sol.row_dual)
+        reduced = dist - y[:ns, None] - y[None, ns:]
+        reduced.ravel()[ids[ids < nx]] = np.inf
+        new = _line_minima(reduced, _PRICED_EDGES)
+        new = new[reduced.ravel()[new] < -_DUAL_TOL]
+        if not new.size:
+            break
+        cost, start, index, value = _columns(new, dist)
+        highs.addCols(
+            len(new), cost, np.zeros(len(new)), np.full(len(new), kHighsInf),
+            len(value), start[:-1], index, value,
+        )
+        highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        ids = np.concatenate([ids, new])
+    x = np.zeros(nx + (ns + nt if bank else 0))
+    x[ids] = sol.col_value
+    return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], y[:ns], lp
 
 
 def _certified_potential(

@@ -408,7 +408,8 @@ def test_decompose_bad_option_is_input_error(tmp_path, capsys, variant, option, 
 @pytest.mark.parametrize(
     "command, option, value",
     [("norm", "--tol", "nan"), ("norm", "--tol", "-1"), ("verify", "--tol", "nan"),
-     ("verify", "--tol", "-0.5"), ("verify", "--check-terms", "-3")],
+     ("verify", "--tol", "-0.5"), ("verify", "--check-terms", "-3"),
+     ("verify", "--ratio-floor", "nan"), ("verify", "--ratio-floor", "-1")],
 )
 def test_norm_verify_bad_option_is_input_error(tmp_path, capsys, command, option, value):
     # rejected by name before any solve, not reported as a failed verification

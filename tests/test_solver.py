@@ -359,15 +359,15 @@ def test_gap_counts_plan_imbalance(monkeypatch, norm, balanced):
 
     m = random_measure(random.Random(31), DOM2, 8, balanced=balanced)
     exact = norm(m)
-    real = krdecomp.solver._solve_lp
+    real = krdecomp.solver._transport_lp
 
     def off_by_1e6(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        x = sol.x.copy()
-        x[0] += 1e-6  # the flow of the first source to the first sink
-        return sol._replace(x=x)
+        flow, *rest = real(*args, **kwargs)
+        flow = flow.copy()
+        flow[0, 0] += 1e-6  # the flow of the first source to the first sink
+        return (flow, *rest)
 
-    monkeypatch.setattr(krdecomp.solver, "_solve_lp", off_by_1e6)
+    monkeypatch.setattr(krdecomp.solver, "_transport_lp", off_by_1e6)
     skewed = norm(m)
     assert skewed.plan.balance_gap(m) >= 1e-6 - 1e-15
     assert skewed.gap >= exact.gap + 1e-6
@@ -385,23 +385,48 @@ def test_greedy_residual_gap_is_tight(seed):
     assert kr0_norm(residual).gap <= 1e-8 * residual.total_variation()
 
 
-def test_kr0_matches_1d_closed_form_at_400_atoms():
-    # on the line kr0(m) is the integral of |F_m|, F_m the cumulative mass
-    dom = Domain.unit(1)
-    m = random_measure(random.Random(37), dom, 400, balanced=True)
+def _integral_of_abs_cdf(m):
+    """kr0(m) on the line: the integral of |F_m|, F_m the cumulative mass."""
     atoms = sorted(m.atoms)
-    cum, exact = 0.0, []
+    cum, parts = 0.0, []
     for (x, w), (y, _) in zip(atoms, atoms[1:]):
         cum += w
-        exact.append(abs(cum) * (y[0] - x[0]))
-    exact = math.fsum(exact)
+        parts.append(abs(cum) * (y[0] - x[0]))
+    return math.fsum(parts)
+
+
+def test_kr0_matches_1d_closed_form_at_400_atoms():
+    m = random_measure(random.Random(37), Domain.unit(1), 400, balanced=True)
     res = kr0_norm(m)
-    assert res.value == pytest.approx(exact, rel=1e-9)
+    assert res.value == pytest.approx(_integral_of_abs_cdf(m), rel=1e-9)
+    assert res.gap <= 1e-8
+
+
+def test_kr0_matches_1d_closed_form_at_1000_atoms_on_a_sparse_lp():
+    m = random_measure(random.Random(43), Domain.unit(1), 1000, balanced=True)
+    res = kr0_norm(m)
+    assert res.value == pytest.approx(_integral_of_abs_cdf(m), rel=1e-9)
+    assert res.gap <= 1e-8
+    ns = sum(1 for w in m.weights if w < 0)
+    assert res.lp.cols < ns * (len(m.atoms) - ns)
+
+
+def test_kr0_first_lp_is_feasible_across_far_clusters():
+    # every source's and sink's nearest edges stay inside its own cluster, and
+    # the left cluster holds 10 units more supply than demand: only the
+    # north-west-corner plan gives the first LP an edge between the clusters
+    atoms = [((0.01 * k,), -1.0) for k in range(20)]
+    atoms += [((0.005 + 0.02 * k,), 1.0) for k in range(10)]
+    atoms += [((3.0 + 0.01 * k,), 1.0) for k in range(20)]
+    atoms += [((3.005 + 0.02 * k,), -1.0) for k in range(10)]
+    m = DiscreteSignedMeasure.from_atoms(DOM1_BIG, atoms)
+    res = kr0_norm(m)
+    assert res.value == pytest.approx(_integral_of_abs_cdf(m), rel=1e-12)
     assert res.gap <= 1e-8
 
 
 @pytest.mark.parametrize("bank", [False, True])
-def test_transport_lp_matrix_and_plan_order_match_loop_reference(monkeypatch, bank):
+def test_transport_lp_matrix_and_plan_order_match_loop_reference(bank):
     import numpy as np
     import scipy.sparse as sp
 
@@ -419,18 +444,15 @@ def test_transport_lp_matrix_and_plan_order_match_loop_reference(monkeypatch, ba
     shape = (ns + nt, nx + (ns + nt if bank else 0))
     expected = sp.coo_matrix(([1.0] * len(rows), (rows, cols)), shape=shape).tocsr()
 
-    seen = []
-    real = solver._solve_lp
-    monkeypatch.setattr(
-        solver, "_solve_lp", lambda c, A, b, **kw: seen.append(A) or real(c, A, b, **kw)
-    )
     rng = np.random.default_rng(3)
     src, snk = rng.random((ns, 2)), rng.random((nt, 2))
-    solver._transport_lp(src, [1.0] * ns, snk, [0.75] * nt, bank)
-    (got,) = seen
-    assert np.array_equal(got.indptr, expected.indptr)
-    assert np.array_equal(got.indices, expected.indices)
-    assert np.array_equal(got.data, expected.data)
+    dist = solver._distances(src, snk)
+    cost, start, index, value = solver._columns(np.arange(shape[1]), dist)
+    want = expected.tocsc()
+    assert np.array_equal(start, want.indptr)
+    assert np.array_equal(index, want.indices)
+    assert np.array_equal(value, want.data)
+    assert np.array_equal(cost[:nx], dist.ravel()) and (cost[nx:] == 1.0).all()
 
     # edge order: source-major flow edges, then destroyed, then created
     q, p = [tuple(x) for x in src], [tuple(x) for x in snk]
@@ -460,6 +482,37 @@ def _linprog_solve(c, A_eq, b_eq):
     return np.asarray(res.x), np.asarray(res.eqlin.marginals)
 
 
+def _dense_transport_lp(solve):
+    """A stand-in for solver._transport_lp that passes the full transport LP,
+    every edge a column, to ``solve(c, A_eq, b_eq)`` in one run."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    from krdecomp.solver import _distances
+
+    def transport(sources, supplies, sinks, demands, bank):
+        ns, nt = len(sources), len(sinks)
+        nx = ns * nt
+        cost = np.ones(nx + (ns + nt if bank else 0))
+        cost[:nx] = _distances(sources, sinks).ravel()
+        # flow variable i * nt + j enters source row i and sink row ns + j;
+        # the bank's destroy/create variables follow, one per row
+        rows = [np.repeat(np.arange(ns), nt), ns + np.tile(np.arange(nt), ns)]
+        cols = [np.arange(nx), np.arange(nx)]
+        if bank:
+            rows.append(np.arange(ns + nt))
+            cols.append(nx + np.arange(ns + nt))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        A_eq = sp.coo_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(ns + nt, len(cost))
+        ).tocsr()
+        b_eq = np.concatenate([np.asarray(supplies, float), np.asarray(demands, float)])
+        x, duals, lp = solve(cost, A_eq, b_eq)
+        return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], duals[:ns], lp
+
+    return transport
+
+
 @pytest.mark.parametrize("dim", [1, 2, 5])
 @pytest.mark.parametrize("norm, balanced", [(kr0_norm, True), (kr_norm, False)])
 @pytest.mark.parametrize("size", [6, 40, 160])
@@ -469,24 +522,44 @@ def test_direct_highs_matches_linprog(monkeypatch, dim, norm, balanced, size):
     import krdecomp.solver as solver
 
     m = random_measure(random.Random(1000 * dim + size), Domain.unit(dim), size, balanced)
+    monkeypatch.setattr(solver, "_transport_lp", _dense_transport_lp(solver._solve_lp))
     direct = norm(m)
-    real = solver._solve_lp
     solved = []
 
     def through_linprog(c, A_eq, b_eq):
-        sol = real(c, A_eq, b_eq)
+        sol = solver._solve_lp(c, A_eq, b_eq)
         x, duals = _linprog_solve(c, A_eq, b_eq)
         assert np.array_equal(sol.x, x)
         assert np.array_equal(sol.duals, duals)
         solved.append(sol.lp)
         return sol._replace(x=x, duals=duals)
 
-    monkeypatch.setattr(solver, "_solve_lp", through_linprog)
+    monkeypatch.setattr(solver, "_transport_lp", _dense_transport_lp(through_linprog))
     wrapped = norm(m)
     assert solved == [direct.lp]
     assert (wrapped.value, wrapped.gap) == (direct.value, direct.gap)
     assert wrapped.plan == direct.plan
     assert wrapped.potential == direct.potential
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("norm, balanced", [(kr0_norm, True), (kr_norm, False)])
+@pytest.mark.parametrize("size", [6, 40, 160, 320])
+def test_column_generation_matches_dense_lp(monkeypatch, dim, norm, balanced, size):
+    import krdecomp.solver as solver
+
+    m = random_measure(random.Random(1000 * dim + size), Domain.unit(dim), size, balanced)
+    sparse = norm(m)
+    monkeypatch.setattr(solver, "_transport_lp", _dense_transport_lp(solver._solve_lp))
+    dense = norm(m)
+    assert math.isclose(sparse.value, dense.value, rel_tol=1e-12, abs_tol=0.0)
+    assert sparse.gap <= 1e-8 and dense.gap <= 1e-8
+    assert sparse.plan.balance_gap(m) <= 1e-12
+    assert dense.plan.balance_gap(m) <= 1e-12
+    if size == 320 and (dim, balanced) != (1, True):
+        # on the line the north-west-corner staircase of the sorted support
+        # is already optimal; elsewhere the first LP misses edges
+        assert sparse.lp.rounds >= 2
 
 
 @pytest.mark.parametrize("variant", ["kr0", "kr"])
@@ -523,11 +596,12 @@ def test_norm_records_its_lp(norm, balanced, bank):
     ns = sum(1 for w in m.weights if w < 0)
     nt = len(m.atoms) - ns
     lp = norm(m).lp
-    assert (lp.rows, lp.cols, lp.nnz) == (
-        ns + nt, ns * nt + bank * (ns + nt), 2 * ns * nt + bank * (ns + nt)
-    )
+    flow_cols = lp.cols - bank * (ns + nt)
+    assert lp.rows == ns + nt
+    assert 0 < flow_cols <= ns * nt
+    assert lp.nnz == 2 * flow_cols + bank * (ns + nt)
     assert lp.status == "Optimal"
-    assert lp.iterations > 0
+    assert lp.iterations > 0 and lp.rounds >= 1
     # no LP behind the zero measure
     assert kr0_norm(DiscreteSignedMeasure.from_atoms(DOM2, [])).lp is None
     assert kr_norm(DiscreteSignedMeasure.from_atoms(DOM2, [])).lp is None
