@@ -3,7 +3,9 @@
 A balanced measure is decomposed as a finite combination of normalized
 dipoles taken from the pair family: each transport-plan edge is snapped
 onto a family dipole, and the snap errors telescope down the dyadic
-depths until the certified residual is below tolerance.  A general
+depths until the certified residual is below tolerance.  A greedy
+decomposition reads every snap from one table of its own, so each
+(point, depth, family) is snapped once however many edges share the point.  A general
 measure additionally receives one point-mass coefficient per support
 atom.  An exact alternative solves the l1-minimal coefficient program on
 a truncated family.  Every construction ends in one record type whose
@@ -28,9 +30,9 @@ from .family import (
     FamilyConfig,
     FamilyPair,
     FamilyPoint,
+    SnapTable,
     family_pair,
     iter_pairs,
-    nearest_family_point,
     pair_index,
     snap_radius,
     term_atoms,
@@ -171,7 +173,7 @@ def _chain(
     start: FamilyPoint,
     start_dist: float,
     depth: int,
-    cfg: FamilyConfig,
+    snaps: SnapTable,
     c: float,
     budget: float,
     sink: _TermSink,
@@ -184,10 +186,10 @@ def _chain(
     cur, d_cur = start, start_dist
     while abs(c) * d_cur > budget and depth < _DEPTH_CAP:
         depth += 1
-        nxt, d_nxt = nearest_family_point(p, depth, tag, cfg)
+        nxt, d_nxt = snaps.nearest(p, depth, tag)
         if nxt.coords == cur.coords:
             continue
-        mid, _ = nearest_family_point(p, depth, other, cfg)
+        mid, _ = snaps.nearest(p, depth, other)
         # c*(delta_nxt - delta_cur) routed through mid of the other family
         sink.emit(nxt, mid, c)
         sink.emit(mid, cur, c)
@@ -199,41 +201,45 @@ def _edge_chains(
     q: Point,
     mass: float,
     budget: float,
-    cfg: FamilyConfig,
+    depth: int,
+    snaps: SnapTable,
     sink: _TermSink,
-    min_depth: int,
 ) -> None:
     """Decompose the plan-edge contribution mass*(delta_p - delta_q): snap
-    p into one family and q into the other, the assignment with the smaller
-    initial snap error winning (d1 for p on a tie)."""
-    length = euclidean(p, q)
-    depth = min_depth
-    while snap_radius(depth, cfg, "d2") > length / 4.0 and depth < _DEPTH_CAP:
-        depth += 1
+    p into one family and q into the other at ``depth``, the assignment
+    with the smaller initial snap error winning (d1 for p on a tie)."""
     (sp, dp), (sq, dq) = min(
-        [(nearest_family_point(p, depth, fp, cfg), nearest_family_point(q, depth, fq, cfg))
+        [(snaps.nearest(p, depth, fp), snaps.nearest(q, depth, fq))
          for fp, fq in (("d1", "d2"), ("d2", "d1"))],
-        key=lambda snaps: snaps[0][1] + snaps[1][1],
+        key=lambda ends: ends[0][1] + ends[1][1],
     )
     sink.emit(sp, sq, mass)
-    _chain(p, sp, dp, depth, cfg, mass, budget / 2, sink)
-    _chain(q, sq, dq, depth, cfg, -mass, budget / 2, sink)
+    _chain(p, sp, dp, depth, snaps, mass, budget / 2, sink)
+    _chain(q, sq, dq, depth, snaps, -mass, budget / 2, sink)
 
 
 def _greedy_dipoles(
-    plan: TransportPlan, tol: float, cfg: FamilyConfig, min_depth: int, sink: _TermSink
+    plan: TransportPlan, tol: float, snaps: SnapTable, min_depth: int, sink: _TermSink
 ) -> None:
     """Adds to ``sink`` the dipole terms of the balanced measure that
     ``plan`` transports (any feasible plan, not necessarily an optimal
     one): every plan edge is snapped onto a family dipole and its snap
     errors telescope to deeper grids until the bookkept leftover cost is
-    below tol."""
+    below tol.  Every snap is read from ``snaps``, the decomposition's one
+    table, so an endpoint shared by several edges is snapped once per
+    depth and family.  An edge starts at the first depth from min_depth
+    whose d2 snap radius is at most a quarter of its length."""
     edge_costs = [e.cost() for e in plan.edges]
     total = math.fsum(edge_costs)
     if total > 0.0:
+        radii = [snap_radius(depth, snaps.cfg, "d2") for depth in range(_DEPTH_CAP)]
         for e, ec in zip(plan.edges, edge_costs):
             budget = _CHAIN_FRACTION * tol * ec / total
-            _edge_chains(e.target, e.source, e.mass, budget, cfg, sink, min_depth)
+            quarter = euclidean(e.target, e.source) / 4.0
+            depth = min_depth
+            while depth < _DEPTH_CAP and radii[depth] > quarter:
+                depth += 1
+            _edge_chains(e.target, e.source, e.mass, budget, depth, snaps, sink)
 
 
 def _check_greedy_options(tol: float, min_depth: int) -> None:
@@ -257,7 +263,7 @@ def decompose_balanced(
     _check_greedy_options(tol, min_depth)
     base = kr0_norm(m)
     sink = _TermSink()
-    _greedy_dipoles(base.plan, tol, cfg, min_depth, sink)
+    _greedy_dipoles(base.plan, tol, SnapTable(cfg), min_depth, sink)
     return _certified(m, "kr0", sink.terms(), cfg, "greedy", norm=base.value)
 
 
@@ -281,6 +287,7 @@ def decompose_full(
     """
     _check_greedy_options(tol, min_depth)
     sink = _TermSink()
+    snaps = SnapTable(cfg)
     snap_edges: list[TransportEdge] = []
     if m.atoms:
         target_dist = tol / (4.0 * m.total_variation())
@@ -288,13 +295,13 @@ def decompose_full(
         while snap_radius(depth, cfg, "d1") > target_dist and depth < _DEPTH_CAP:
             depth += 1
         for p, w in m.atoms:
-            x, _ = nearest_family_point(p, depth, "d1", cfg)
+            x, _ = snaps.nearest(p, depth, "d1")
             sink.add(pair_index(x.index, 0), alpha2=w)
             # w * (delta_p - delta_x): mass runs from the negative end
             if x.coords != p:
                 edge = (x.coords, p, w) if w > 0 else (p, x.coords, -w)
                 snap_edges.append(TransportEdge(*edge))
-    _greedy_dipoles(TransportPlan(tuple(snap_edges)), tol / 2.0, cfg, min_depth, sink)
+    _greedy_dipoles(TransportPlan(tuple(snap_edges)), tol / 2.0, snaps, min_depth, sink)
     return _certified(m, "kr", sink.terms(), cfg, "greedy")
 
 

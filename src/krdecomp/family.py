@@ -19,6 +19,10 @@ unit point masses (even indices).
 is built there, each distinct d1/d2 point once per call.  ``term_atoms`` is
 the one definition of a term alpha1 * dipole_j + alpha2 * delta_{x_j} as
 point atoms, shared by the canonical atoms and every reconstruction.
+:class:`SnapTable` is the one snapper: it finds each nearest family point
+once per table, and :func:`nearest_family_point` is one lookup in a fresh
+table.  Every family coordinate is computed by ``_coord``, which keeps it
+inside the box.
 """
 
 from __future__ import annotations
@@ -205,22 +209,27 @@ def _index_of(ticks: Sequence[int], depth: int, n: int, family: FamilyTag) -> in
     return _cum_count(depth - 1, n, family) + _rank_ticks(ticks, depth, n, family)
 
 
-def _d1_rel(tick: int, depth: int) -> float:
-    return tick / (1 << depth)
-
-
-def _d2_rel(tick: int, depth: int, offset: float) -> float:
-    u = tick / (1 << depth) + offset
+def _rel(tick: int, depth: int, family: FamilyTag, offset: float) -> float:
+    """Relative position of a tick in [0, 1]: tick / 2^depth for d1, that
+    plus the offset, wrapped, for d2."""
+    u = tick / (1 << depth)
+    if family == "d1":
+        return u
+    u += offset
     return u - 1.0 if u >= 1.0 else u
 
 
+def _coord(lo: float, hi: float, rel: float) -> float:
+    """The one family coordinate at relative position rel of [lo, hi]:
+    lo + (hi - lo) * rel can round above hi at rel = 1, so it is capped."""
+    return min(hi, lo + (hi - lo) * rel)
+
+
 def _coords(ticks: Sequence[int], depth: int, cfg: FamilyConfig, family: FamilyTag) -> Point:
-    rel = (
-        [_d1_rel(a, depth) for a in ticks]
-        if family == "d1"
-        else [_d2_rel(a, depth, cfg.offset) for a in ticks]
+    return tuple(
+        _coord(lo, hi, _rel(a, depth, family, cfg.offset))
+        for lo, hi, a in zip(cfg.domain.lo, cfg.domain.hi, ticks)
     )
-    return tuple(lo + (hi - lo) * t for lo, hi, t in zip(cfg.domain.lo, cfg.domain.hi, rel))
 
 
 def _point_at(k: int, cfg: FamilyConfig, family: FamilyTag) -> FamilyPoint:
@@ -307,32 +316,86 @@ def delta_atom(j: int, cfg: FamilyConfig) -> DeltaAtom:
     return DeltaAtom(j, kind, k, DiscreteSignedMeasure.from_atoms(cfg.domain, atoms))
 
 
+def _check_snap_args(depth: int, which: FamilyTag) -> None:
+    if which not in ("d1", "d2"):
+        raise ValueError(f"family which must be 'd1' or 'd2', not {which!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, not {depth!r}")
+
+
 def snap_radius(depth: int, cfg: FamilyConfig, which: FamilyTag) -> float:
     """Worst-case snap distance at this depth (d2 pays twice the d1 bound
     because the shifted grid is not symmetric about the box boundary)."""
+    _check_snap_args(depth, which)
     n = cfg.domain.dim
     half = math.sqrt(n) / 2.0 * cfg.domain.max_side / (1 << depth)
     return half if which == "d1" else 2.0 * half
 
 
-def _axis_candidates(t: float, depth: int, cfg: FamilyConfig, which: FamilyTag) -> list[int]:
-    """Candidate ticks bracketing relative coordinate t on one axis."""
+def _axis_snap(
+    x: float, t: float, lo: float, hi: float, depth: int, which: FamilyTag, offset: float
+) -> tuple[int, float]:
+    """The tick nearest to coordinate x (relative position t in [0, 1]) on
+    one axis of [lo, hi], with the coordinate it was compared by; ties go
+    to the smaller coordinate, then to the smaller tick."""
+    size = 1 << depth
     if which == "d1":
-        hi = 1 << depth
-        raw = t * hi
-        base = math.floor(raw)
-        cand = {min(max(a, 0), hi) for a in (base, base + 1)}
+        base = math.floor(t * size)
+        ticks = (base, base + 1) if base < size else (size,)
     else:
-        size = 1 << depth
-        shift = math.floor(cfg.offset * size)
-        frac_shift = cfg.offset - shift / size
-        raw = (t - frac_shift) * size
-        base = math.floor(raw)
-        cand = set()
-        for i in (base - 1, base, base + 1):
-            i = min(max(i, 0), size - 1)
-            cand.add((i - shift) % size)
-    return sorted(cand)
+        shift = math.floor(offset * size)
+        base = math.floor((t - (offset - shift / size)) * size)
+        # the shifted grid indices base - 1 .. base + 1, clamped, as ticks
+        first, last = (min(max(i, 0), size - 1) for i in (base - 1, base + 1))
+        ticks = sorted([(i - shift) % size for i in range(first, last + 1)])
+    best_a, best_v, best_d = -1, math.inf, math.inf
+    for a in ticks:
+        v = _coord(lo, hi, _rel(a, depth, which, offset))
+        d = abs(x - v)
+        if d < best_d or (d == best_d and v < best_v):
+            best_a, best_v, best_d = a, v, d
+    return best_a, best_v
+
+
+class SnapTable:
+    """Nearest family points of box points, each (point, depth, family)
+    computed once: a point is checked against the box and put in relative
+    coordinates on its first lookup, each snap on its first request.  A
+    greedy decomposition keeps one table for all its chains; nothing
+    outlives it."""
+
+    def __init__(self, cfg: FamilyConfig) -> None:
+        self.cfg = cfg
+        self._axes: dict[Point, tuple[Point, list[tuple[float, float, float, float]]]] = {}
+        self._snaps: dict[tuple[Point, int, FamilyTag], tuple[FamilyPoint, float]] = {}
+
+    def nearest(self, p: Point, depth: int, which: FamilyTag) -> tuple[FamilyPoint, float]:
+        """Nearest depth-``depth`` grid point of the family ``which`` to p,
+        with its Euclidean distance; ties broken toward the
+        lexicographically smaller point."""
+        key = (p, depth, which)
+        hit = self._snaps.get(key)
+        if hit is None:
+            hit = self._snaps[key] = self._snap(p, depth, which)
+        return hit
+
+    def _snap(self, p: Point, depth: int, which: FamilyTag) -> tuple[FamilyPoint, float]:
+        _check_snap_args(depth, which)
+        if p not in self._axes:
+            domain = self.cfg.domain
+            q = domain.require_member(p)
+            self._axes[p] = q, [
+                (x, (x - lo) / (hi - lo), lo, hi) for lo, hi, x in zip(domain.lo, domain.hi, q)
+            ]
+        q, axes = self._axes[p]
+        offset = self.cfg.offset
+        ticks, coords = zip(*(_axis_snap(*axis, depth, which, offset) for axis in axes))
+        norm_ticks, norm_depth = _normalize(ticks, depth)
+        idx = _index_of(norm_ticks, norm_depth, len(q), which)
+        # halving every tick and the depth leaves each tick / 2^depth as it
+        # was, so the compared coordinates are the normalized point's
+        point = FamilyPoint(which, idx, norm_depth, norm_ticks, coords)
+        return point, euclidean(q, coords)
 
 
 def nearest_family_point(
@@ -340,23 +403,8 @@ def nearest_family_point(
 ) -> tuple[FamilyPoint, float]:
     """Nearest depth-``depth`` grid point of the chosen family, with its
     Euclidean distance; ties broken toward the lexicographically smaller
-    point."""
-    p = cfg.domain.require_member(p)
-    ticks = []
-    for lo, hi, x in zip(cfg.domain.lo, cfg.domain.hi, p):
-        t = (x - lo) / (hi - lo)
-        best_a, best_v, best_d = None, None, None
-        for a in _axis_candidates(t, depth, cfg, which):
-            rel = _d1_rel(a, depth) if which == "d1" else _d2_rel(a, depth, cfg.offset)
-            v = lo + (hi - lo) * rel
-            d = abs(x - v)
-            if best_d is None or d < best_d or (d == best_d and v < best_v):
-                best_a, best_v, best_d = a, v, d
-        ticks.append(best_a)
-    norm_ticks, norm_depth = _normalize(ticks, depth)
-    idx = _index_of(norm_ticks, norm_depth, cfg.domain.dim, which)
-    point = FamilyPoint(which, idx, norm_depth, norm_ticks, _coords(norm_ticks, norm_depth, cfg, which))
-    return point, euclidean(p, point.coords)
+    point.  One lookup in a fresh :class:`SnapTable`."""
+    return SnapTable(cfg).nearest(tuple(p), depth, which)
 
 
 def dump_pairs_csv(cfg: FamilyConfig, count: int) -> str:

@@ -134,6 +134,31 @@ def test_family_dump_matches_pairs(tmp_path, capsys):
         assert math.isclose(float(fields[3]), pair.separation)
 
 
+SHIFTED_BOX = "0.1:0.7,0.3:0.9"
+
+
+def test_family_dump_stays_in_a_shifted_box(capsys):
+    # on this box the corner (0.1, 0.9) used to round to (0.1, 0.9000000000000001)
+    box = Domain((0.1, 0.3), (0.7, 0.9))
+    assert main(["family", "dump", "--count", "500", "--box", SHIFTED_BOX]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == 500
+    for row in rows:
+        fields = [float(v) for v in row.split(",")[1:]]
+        assert box.contains(fields[0:2]) and box.contains(fields[2:4])
+
+
+@pytest.mark.parametrize("variant", ["kr0", "kr"])
+def test_decompose_verify_with_an_atom_on_the_upper_corner(tmp_path, capsys, variant):
+    from krdecomp import dipole
+
+    m = dipole(Domain((0.1, 0.3), (0.7, 0.9)), (0.7, 0.9), (0.3, 0.45), 1.0)
+    mpath = write_measure(tmp_path, "m.json", m)
+    dpath = str(tmp_path / "dec.json")
+    assert main(["decompose", "--input", mpath, "--variant", variant, "--out", dpath]) == 0
+    assert main(["verify", "--input", mpath, "--dec", dpath, "--check-terms", "4"]) == 0
+    capsys.readouterr()
+
 def test_oracle_command(tmp_path, capsys):
     path = write_measure(tmp_path, "d.json", dirac(DOM2, (0.25, 0.75)))
     assert main(["oracle", "--input", path, "--variant", "kr", "--unit", "1.0"]) == 0

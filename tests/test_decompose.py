@@ -552,3 +552,123 @@ def test_greedy_rejects_bad_options_by_name(construct, tol, min_depth, name):
     m = dipole(DOM2, (0.1, 0.2), (0.7, 0.4), 1.0)
     with pytest.raises(ValueError, match=name):
         construct(m, tol, CFG2, min_depth)
+
+
+# -- the snap table under the greedy chains ---------------------------------
+
+
+def _reference_chains(plan, tol, cfg, min_depth, sink):
+    """The greedy chains with one nearest_family_point call per snap and
+    no table: a loop reference for decompose._greedy_dipoles."""
+    import math
+
+    from krdecomp.decompose import _CHAIN_FRACTION, _DEPTH_CAP
+    from krdecomp.family import nearest_family_point, snap_radius
+
+    def chain(p, cur, d_cur, depth, c, budget):
+        tag = cur.family
+        other = "d2" if tag == "d1" else "d1"
+        while abs(c) * d_cur > budget and depth < _DEPTH_CAP:
+            depth += 1
+            nxt, d_nxt = nearest_family_point(p, depth, tag, cfg)
+            if nxt.coords == cur.coords:
+                continue
+            mid, _ = nearest_family_point(p, depth, other, cfg)
+            sink.emit(nxt, mid, c)
+            sink.emit(mid, cur, c)
+            cur, d_cur = nxt, d_nxt
+
+    costs = [e.cost() for e in plan.edges]
+    total = math.fsum(costs)
+    for e, cost in zip(plan.edges, costs):
+        p, q, mass = e.target, e.source, e.mass
+        budget = _CHAIN_FRACTION * tol * cost / total
+        depth = min_depth
+        while snap_radius(depth, cfg, "d2") > math.dist(p, q) / 4.0 and depth < _DEPTH_CAP:
+            depth += 1
+        starts = []
+        for fp, fq in (("d1", "d2"), ("d2", "d1")):
+            starts.append((nearest_family_point(p, depth, fp, cfg),
+                           nearest_family_point(q, depth, fq, cfg)))
+        (sp, dp), (sq, dq) = min(starts, key=lambda s: s[0][1] + s[1][1])
+        sink.emit(sp, sq, mass)
+        chain(p, sp, dp, depth, mass, budget / 2)
+        chain(q, sq, dq, depth, -mass, budget / 2)
+
+
+def _snap_plan(m, tol, cfg, min_depth, sink):
+    """decompose_full's snap plan, built with nearest_family_point; the
+    point masses go to ``sink``."""
+    from krdecomp.decompose import _DEPTH_CAP
+    from krdecomp.family import nearest_family_point, pair_index, snap_radius
+    from krdecomp.solver import TransportEdge, TransportPlan
+
+    depth = min_depth
+    while snap_radius(depth, cfg, "d1") > tol / (4.0 * m.total_variation()) and depth < _DEPTH_CAP:
+        depth += 1
+    edges = []
+    for p, w in m.atoms:
+        x, _ = nearest_family_point(p, depth, "d1", cfg)
+        sink.add(pair_index(x.index, 0), alpha2=w)
+        if x.coords != p:
+            edges.append(TransportEdge(*((x.coords, p, w) if w > 0 else (p, x.coords, -w))))
+    return TransportPlan(tuple(edges))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("min_depth", [0, 5])
+def test_chains_match_loop_reference(dim, min_depth):
+    from krdecomp.decompose import _greedy_dipoles, _TermSink
+    from krdecomp.family import SnapTable
+
+    cfg = FamilyConfig(Domain.unit(dim))
+    rng = random.Random(40 + dim)
+    for size, tol in ((6, 1e-4), (12, 1e-6)):
+        balanced = random_measure(rng, cfg.domain, size, balanced=True)
+        general = random_measure(rng, cfg.domain, size)
+        plans = [(kr0_norm(balanced).plan, tol)]
+        plans.append((_snap_plan(general, tol, cfg, min_depth, _TermSink()), tol / 2))
+        for plan, plan_tol in plans:
+            table, loop = _TermSink(), _TermSink()
+            _greedy_dipoles(plan, plan_tol, SnapTable(cfg), min_depth, table)
+            _reference_chains(plan, plan_tol, cfg, min_depth, loop)
+            assert table.terms() and table.terms() == loop.terms()
+        # and end to end, through each constructor
+        loop = _TermSink()
+        _reference_chains(kr0_norm(balanced).plan, tol, cfg, min_depth, loop)
+        assert decompose_balanced(balanced, tol, cfg, min_depth).terms == loop.terms()
+        loop = _TermSink()
+        _reference_chains(_snap_plan(general, tol, cfg, min_depth, loop), tol / 2, cfg,
+                          min_depth, loop)
+        assert decompose_full(general, tol, cfg, min_depth).terms == loop.terms()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_greedy_snaps_each_point_once_per_depth_and_family(monkeypatch, dim):
+    from krdecomp.family import SnapTable
+
+    computed, looked_up = [], []
+    real_snap, real_nearest = SnapTable._snap, SnapTable.nearest
+
+    def snap(self, p, depth, which):
+        computed.append((p, depth, which))
+        return real_snap(self, p, depth, which)
+
+    def nearest(self, p, depth, which):
+        looked_up.append((p, depth, which))
+        return real_nearest(self, p, depth, which)
+
+    monkeypatch.setattr(SnapTable, "_snap", snap)
+    monkeypatch.setattr(SnapTable, "nearest", nearest)
+    cfg = FamilyConfig(Domain.unit(dim))
+    rng = random.Random(60 + dim)
+    shared = False
+    for construct, balanced in ((decompose_balanced, True), (decompose_full, False)):
+        for min_depth in (0, 5):
+            computed.clear()
+            looked_up.clear()
+            construct(random_measure(rng, cfg.domain, 10, balanced), 1e-6, cfg, min_depth)
+            assert computed and len(set(computed)) == len(computed)
+            assert set(computed) == set(looked_up)
+            shared = shared or len(looked_up) > len(computed)
+    assert shared  # plan endpoints shared by several edges are looked up again

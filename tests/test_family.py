@@ -252,3 +252,125 @@ def test_offset_validation():
     with pytest.raises(ValueError):
         FamilyConfig(Domain.unit(1), offset=1.5)
     assert 0.0 < DEFAULT_OFFSET < 1.0
+
+
+# -- boxes other than the unit box -------------------------------------------
+
+SHIFTED2 = Domain((0.1, 0.3), (0.7, 0.9))
+
+
+def _box(kind, dim):
+    """The unit box, or the box (0.1, 0.3)..(0.7, 0.9) with its bounds
+    repeated over ``dim`` axes."""
+    if kind == "unit":
+        return Domain.unit(dim)
+    return Domain(((0.1, 0.3) * dim)[:dim], ((0.7, 0.9) * dim)[:dim])
+
+
+def test_family_points_on_the_upper_face_stay_in_the_box():
+    # 0.3 + (0.9 - 0.3) * 1 rounds to 0.9000000000000001
+    cfg = FamilyConfig(SHIFTED2)
+    assert d1_point(1, cfg).coords == (0.1, 0.9)
+    for pair in iter_pairs(cfg, range(1, 2001)):
+        assert SHIFTED2.contains(pair.x.coords) and SHIFTED2.contains(pair.y.coords)
+
+
+def test_every_one_decimal_interval_keeps_its_family_points():
+    bounds = [round(-2.0 + 0.1 * k, 1) for k in range(41)]
+    boxes = [Domain((lo,), (hi,)) for lo, hi in itertools.combinations(bounds, 2)]
+    assert len(boxes) == 820
+    for box in boxes:
+        for pair in iter_pairs(FamilyConfig(box), range(1, 16)):
+            assert box.contains(pair.x.coords) and box.contains(pair.y.coords)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: nearest_family_point((0.3, 0.6), 2, "d3", CFG2), "which"),
+        (lambda: nearest_family_point((0.3, 0.6), -1, "d1", CFG2), "depth"),
+        (lambda: snap_radius(2, CFG2, "d3"), "which"),
+        (lambda: snap_radius(-1, CFG2, "d2"), "depth"),
+    ],
+    ids=["nearest-family", "nearest-depth", "radius-family", "radius-depth"],
+)
+def test_snap_rejects_bad_arguments_by_name(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_snap_tie_goes_to_the_smaller_coordinate():
+    # 0.375 lies halfway between the depth-2 ticks 0.25 and 0.5
+    fp, dist = nearest_family_point((0.375,), 2, "d1", CFG1)
+    assert fp.coords == (0.25,) and dist == 0.125
+    fp, _ = nearest_family_point((0.625, 0.375), 2, "d1", CFG2)
+    assert fp.coords == (0.5, 0.25)
+
+
+def _snap_probe_points(cfg, rng):
+    """Random points, grid points of both families, points on box faces,
+    and midpoints between two neighbouring ticks on every axis."""
+    lo, hi = cfg.domain.lo, cfg.domain.hi
+    points = [tuple(rng.uniform(a, b) for a, b in zip(lo, hi)) for _ in range(6)]
+    for family in ("d1", "d2"):
+        for depth in (0, 2, 7, 60):
+            top = (1 << depth) if family == "d1" else (1 << depth) - 1
+            ticks = [rng.randint(0, top) for _ in lo]
+            points.append(_coords(ticks, depth, cfg, family))
+        for depth in (1, 3, 30):
+            top = (1 << depth) - (1 if family == "d1" else 2)
+            ticks = [rng.randint(0, top) for _ in lo]
+            a = _coords(ticks, depth, cfg, family)
+            b = _coords([t + 1 for t in ticks], depth, cfg, family)
+            points.append(tuple((u + v) / 2 for u, v in zip(a, b)))
+    for _ in range(4):
+        p = [rng.uniform(a, b) for a, b in zip(lo, hi)]
+        for axis in rng.sample(range(len(p)), rng.randint(1, len(p))):
+            p[axis] = rng.choice((lo[axis], hi[axis]))
+        points.append(tuple(p))
+    points.append(lo)
+    points.append(hi)
+    return points
+
+
+def _brute_nearest(p, grid, coords):
+    """The nearest grid point to p by math.dist, ties to the smaller
+    coordinates; numpy only shortlists the candidates."""
+    import numpy as np
+
+    d = np.sqrt(((grid - np.array(p)) ** 2).sum(axis=1))
+    close = np.flatnonzero(d <= d.min() + 1e-12)
+    return min((math.dist(p, coords[k]), coords[k]) for k in close)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("box", ["unit", "shifted"])
+def test_snap_table_matches_nearest_and_brute_force(dim, box):
+    import random
+
+    import numpy as np
+
+    from krdecomp.family import SnapTable
+
+    cfg = FamilyConfig(_box(box, dim))
+    points = _snap_probe_points(cfg, random.Random(dim))
+    table = SnapTable(cfg)
+    for which in ("d1", "d2"):
+        for depth in range(61):
+            grid = coords = None
+            if depth <= 3:
+                top = (1 << depth) + 1 if which == "d1" else 1 << depth
+                coords = [
+                    _coords(t, depth, cfg, which)
+                    for t in itertools.product(range(top), repeat=dim)
+                ]
+                grid = np.array(coords)
+            for p in points:
+                fp, dist = table.nearest(p, depth, which)
+                assert (fp, dist) == nearest_family_point(p, depth, which, cfg)
+                assert cfg.domain.contains(fp.coords)
+                assert dist == math.dist(p, fp.coords)
+                if grid is not None:
+                    brute_dist, brute_coords = _brute_nearest(p, grid, coords)
+                    assert fp.coords == brute_coords
+                    assert math.isclose(dist, brute_dist, abs_tol=1e-15)
