@@ -114,8 +114,11 @@ def _norm_csv(payload: dict) -> str:
 
 def cmd_norm(args: argparse.Namespace) -> int:
     _check_nonnegative("--tol", args.tol)
+    emit = set(args.emit.split(",")) - {""}
+    if unknown := sorted(emit - {"plan", "potential"}):
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"option --emit names unknown {names}, expected plan or potential")
     result = variant_norm(args.variant, _load_measure(args.input))
-    emit = set(filter(None, (args.emit or "").split(",")))
     payload = _norm_payload(result, emit)
     text = (
         json.dumps(payload, indent=2) + "\n"
@@ -141,7 +144,7 @@ def _dec_to_doc(dec: AtomicDecomposition) -> dict:
 def _term_from_doc(i: int, term, variant: str) -> tuple[int, float, float]:
     try:
         # older files store kr0 terms as [j, a1]
-        j, a1, a2 = (*term, 0.0)[:3] if variant == "kr0" else term
+        j, a1, a2 = (*term, 0.0) if variant == "kr0" and len(term) == 2 else term
         parsed = (j, float(a1), float(a2))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"decomposition term #{i} is not [j, a1, a2]") from exc
@@ -165,13 +168,14 @@ def _dec_from_doc(doc: dict, m: DiscreteSignedMeasure) -> AtomicDecomposition:
         raise ValueError("field 'variant' must be 'kr0' or 'kr'")
     if not isinstance(doc["terms"], list):
         raise ValueError("field 'terms' must be a list")
+    method = doc.get("method", "greedy")
+    if method not in ("greedy", "l1_minimal"):
+        raise ValueError("field 'method' must be 'greedy' or 'l1_minimal'")
     l1, residual = _number_field(doc, "l1"), _number_field(doc, "residual_norm")
     offset = _number_field(doc, "offset") if "offset" in doc else DEFAULT_OFFSET
     cfg = FamilyConfig(m.domain, offset)
     terms = tuple(_term_from_doc(i, t, variant) for i, t in enumerate(doc["terms"]))
-    return AtomicDecomposition(
-        cfg, variant, terms, l1, residual, math.nan, m, doc.get("method", "greedy")
-    )
+    return AtomicDecomposition(cfg, variant, terms, l1, residual, math.nan, m, method)
 
 
 def _number_field(doc: dict, field: str) -> float:
@@ -228,6 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
+    _check_nonnegative("--count", args.count)
     cfg = FamilyConfig(_parse_box(args.box), args.offset)
     _write_out(dump_pairs_csv(cfg, args.count), args.out)
     return OK
@@ -241,6 +246,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    _check_nonnegative("--count", args.count)
     if args.size < 1:
         return _fail("support size must be >= 1")
     domain = _parse_box(args.box)

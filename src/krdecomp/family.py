@@ -415,5 +415,5 @@ def dump_pairs_csv(cfg: FamilyConfig, count: int) -> str:
         fields += [format(c, ".17g") for c in pair.x.coords]
         fields += [format(c, ".17g") for c in pair.y.coords]
         fields.append(format(pair.separation, ".17g"))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)

@@ -188,7 +188,12 @@ class DiscreteSignedMeasure:
         )
 
     def __sub__(self, other: "DiscreteSignedMeasure") -> "DiscreteSignedMeasure":
-        return self + other.scaled(-1.0)
+        if other.domain != self.domain:
+            raise ValueError("measures live on different domains")
+        # negation is exact, so this is self + other.scaled(-1) canonicalized once
+        return DiscreteSignedMeasure.from_atoms(
+            self.domain, list(self.atoms) + [(p, -w) for p, w in other.atoms]
+        )
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -398,27 +398,18 @@ def _transport_lp(
     return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], y[:ns], lp
 
 
-def _certified_potential(
-    points: Sequence[Point], values: Sequence[float], box: bool
-) -> DualPotential:
-    """Rescale (and clip, for the extended norm) an LP witness so that
-    feasibility holds exactly on the point set, not just to LP tolerance."""
-    vals = [float(v) for v in values]
-    if len(points) > 1:
-        s = lipschitz_seminorm(points, vals)
-        if s > 1.0:
-            vals = [v / s for v in vals]
-            if lipschitz_seminorm(points, vals) > 1.0:  # residual rounding
-                vals = [v * (1.0 - 1e-12) for v in vals]
-    if box:
-        vals = [max(-1.0, min(1.0, v)) for v in vals]
-    sup = max((abs(v) for v in vals), default=0.0)
-    return DualPotential(tuple(points), tuple(vals), 1.0, sup)
-
-
-def _zero_result() -> NormResult:
-    potential = DualPotential((), (), 0.0, 0.0)
-    return NormResult(0.0, TransportPlan(()), potential, 0.0)
+def _certified_potential(points: Sequence[Point], values: Sequence[float]) -> DualPotential:
+    """Shrink an LP witness by 1 - 1e-12, far above the few-ulp rounding of
+    its c-transform, and check it exactly on the point set; the witness
+    returned is the one the last check passed."""
+    raw, scale = np.asarray(values, dtype=float), 1.0 - 1e-12
+    # every failed check lowers the scale by a factor below 1, so this ends;
+    # the raw values are rescaled, not the rounded ones, so rounding cannot
+    # put back the slope a rescale took off
+    while (s := lipschitz_seminorm(points, vals := raw * scale)) > 1.0:
+        scale *= (1.0 - 1e-12) / s
+    sup = float(np.abs(vals).max(initial=0.0))
+    return DualPotential(tuple(points), tuple(vals.tolist()), 1.0, sup)
 
 
 def _plan_from_flow(
@@ -452,24 +443,27 @@ def _kr(m: DiscreteSignedMeasure, bank: bool) -> NormResult:
     for the extended norm): 1-Lipschitz, and its pairing with m is the LP's
     dual value.  The gap adds the cost of repairing the plan's imbalance:
     diam per unit of mass for the balanced norm, 1 (the bank) for the
-    extended one."""
-    if not m.atoms:
-        return _zero_result()
+    extended one.  With no mass, or with one side of a balanced measure
+    (total variation within the balance tolerance), no LP runs: the plan
+    is empty and f = 0."""
     hj = m.hahn_jordan()
     neg, pos = hj.negative, hj.positive
-    dim = m.domain.dim
-    sources = np.array(neg.support, dtype=float).reshape(-1, dim)
-    sinks = np.array(pos.support, dtype=float).reshape(-1, dim)
-    flow, destroyed, created, u, lp = _transport_lp(
-        sources, neg.weights, sinks, pos.weights, bank
-    )
-    plan = _plan_from_flow(
-        neg.support, pos.support, flow, destroyed, created, m.total_variation()
-    )
-    # with no sources (extended norm only) f is +inf, clipped to f = 1
-    support = np.array(m.support, dtype=float)
-    raw = _extend(sources, -u, 1.0, support, clip=1.0 if bank else None)
-    witness = _certified_potential(m.support, raw, box=bank)
+    if not m.atoms or not (bank or (neg.atoms and pos.atoms)):
+        plan, raw, lp = TransportPlan(()), np.zeros(len(m.atoms)), None
+    else:
+        dim = m.domain.dim
+        sources = np.array(neg.support, dtype=float).reshape(-1, dim)
+        sinks = np.array(pos.support, dtype=float).reshape(-1, dim)
+        flow, destroyed, created, u, lp = _transport_lp(
+            sources, neg.weights, sinks, pos.weights, bank
+        )
+        plan = _plan_from_flow(
+            neg.support, pos.support, flow, destroyed, created, m.total_variation()
+        )
+        # with no sources (extended norm only) f is +inf, clipped to f = 1
+        support = np.array(m.support, dtype=float)
+        raw = _extend(sources, -u, 1.0, support, clip=1.0 if bank else None)
+    witness = _certified_potential(m.support, raw)
     value = plan.cost()
     repair = math.fsum(plan._imbalances(m)) * (1.0 if bank else m.domain.diameter)
     gap = value + repair - witness.pair_with(m)
@@ -483,14 +477,6 @@ def kr0_norm(m: DiscreteSignedMeasure) -> NormResult:
         raise BalanceViolationError(
             f"total mass {m.total_mass():.3e} exceeds balance tolerance"
         )
-    if not m.atoms:
-        return _zero_result()
-    if not min(m.weights) < 0.0 < max(m.weights):
-        # one-sided only for total variation below the balance tolerance:
-        # the empty plan, repaired at diam per unit of mass, and f = 0
-        witness = _certified_potential(m.support, [0.0] * len(m.atoms), box=False)
-        gap = m.total_variation() * m.domain.diameter
-        return NormResult(0.0, TransportPlan(()), witness, gap)
     return _kr(m, bank=False)
 
 

@@ -671,3 +671,48 @@ def test_verify_any_json_exits_zero_one_or_two(tmp_path, capsys, mdoc, ddoc, wel
     argv = ["verify", "--input", str(mpath), "--dec", str(dpath), "--check-terms", "2"]
     assert main(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "emit, names", [("plan,potental", "'potental'"), ("value,plan,x", "'value', 'x'")]
+)
+def test_norm_unknown_emit_name_is_input_error(tmp_path, capsys, norm_solves, emit, names):
+    path = write_measure(tmp_path, "d.json", dirac(DOM2, (0.25, 0.75)))
+    assert main(["norm", "--input", path, "--variant", "kr", "--emit", emit]) == 1
+    assert _one_error_line(capsys).startswith(f"error: option --emit names unknown {names},")
+    assert norm_solves == []  # rejected before any solve
+
+
+@pytest.mark.parametrize("command", ["gen", "family dump"])
+def test_negative_count_is_input_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = command.split() + ["--count=-2", "--out", str(out)]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == "error: option --count must be >= 0, not -2\n"
+    assert not out.exists()  # nothing written, not even gen's directory
+
+
+def test_family_dump_of_no_pairs_prints_nothing(capsys):
+    assert main(["family", "dump", "--count", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("method", ["l1", "", None, 1])
+def test_verify_unknown_method_is_input_error(tmp_path, capsys, method):
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr0")
+    dec = tmp_path / "dec.json"
+    doc = json.loads(dec.read_text())
+    doc["method"] = method
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", "--input", mpath, "--dec", dpath, "--ratio-floor", "1.5"]) == 1
+    assert "'method'" in _one_error_line(capsys)
+
+
+def test_verify_rejects_kr0_term_with_four_entries(tmp_path, capsys):
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr0")
+    dec = tmp_path / "dec.json"
+    doc = json.loads(dec.read_text())
+    doc["terms"][1].append(7.0)
+    dec.write_text(json.dumps(doc))
+    assert main(["verify", "--input", mpath, "--dec", dpath]) == 1
+    assert _one_error_line(capsys) == "error: decomposition term #1 is not [j, a1, a2]\n"

@@ -53,6 +53,24 @@ def test_mass_and_variation_examples():
     assert m2.total_mass() == 2.0 and m2.total_variation() == 4.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_difference_equals_sum_with_the_negation(seed):
+    # points drawn from one small pool, so the two measures share most of them
+    rng = random.Random(seed)
+    pool = [(rng.random(), rng.random()) for _ in range(6)]
+    a, b = (
+        DiscreteSignedMeasure.from_atoms(
+            DOM2, [(rng.choice(pool), rng.uniform(-1.0, 1.0)) for _ in range(8)]
+        )
+        for _ in range(2)
+    )
+    assert set(a.support) & set(b.support)
+    assert a - b == a + b.scaled(-1.0)
+    assert (a - a).atoms == ()
+    with pytest.raises(ValueError, match="different domains"):
+        a - DiscreteSignedMeasure.zero(Domain.unit(3))
+
+
 def test_hahn_jordan_examples():
     hj = dipole(DOM2, P, Q, 1.0).hahn_jordan()
     assert hj.positive.atoms == ((P, 1.0),)

@@ -605,3 +605,99 @@ def test_norm_records_its_lp(norm, balanced, bank):
     # no LP behind the zero measure
     assert kr0_norm(DiscreteSignedMeasure.from_atoms(DOM2, [])).lp is None
     assert kr_norm(DiscreteSignedMeasure.from_atoms(DOM2, [])).lp is None
+
+
+def _exactly_certified(witness, bank: bool) -> bool:
+    """(f(p) - f(q))^2 <= |p - q|^2 for every pair of support points and,
+    for the extended norm, |f| <= 1, in rational arithmetic."""
+    from fractions import Fraction
+
+    vals = [Fraction(v) for v in witness.values]
+    pts = [[Fraction(x) for x in p] for p in witness.points]
+    if bank and any(abs(v) > 1 for v in vals):
+        return False
+    return all(
+        (vals[i] - vals[j]) ** 2 <= sum((x - y) ** 2 for x, y in zip(pts[i], pts[j]))
+        for i in range(len(pts))
+        for j in range(i)
+    )
+
+
+def _seeded_norm_inputs(dim):
+    """24 (variant, measure) pairs per dim: 20 and 60 atoms, six seeds,
+    balanced kr0 and general kr."""
+    for n in (20, 60):
+        for s in range(6):
+            for variant in ("kr0", "kr"):
+                rng = random.Random(1000 * dim + 10 * n + s)
+                yield variant, random_measure(rng, Domain.unit(dim), n, balanced=variant == "kr0")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_witness_is_1_lipschitz_in_exact_arithmetic(dim):
+    # a float seminorm of at most 1 still let witnesses with slope^2 up to
+    # 1 + 4e-16 through; the pre-shrink leaves room for that rounding
+    from krdecomp import variant_norm
+
+    for variant, m in _seeded_norm_inputs(dim):
+        assert _exactly_certified(variant_norm(variant, m).potential, variant == "kr")
+
+
+@pytest.fixture
+def seminorm_readings(monkeypatch):
+    """Every value solver.lipschitz_seminorm returns, in call order."""
+    import krdecomp.solver
+
+    readings = []
+    real = krdecomp.solver.lipschitz_seminorm
+
+    def recording(points, values):
+        readings.append(real(points, values))
+        assert len(readings) < 100, "the rescale loop does not end"
+        return readings[-1]
+
+    monkeypatch.setattr(krdecomp.solver, "lipschitz_seminorm", recording)
+    return readings
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_one_lipschitz_pass_per_certification(seminorm_readings, dim):
+    from krdecomp import variant_norm
+
+    for variant, m in _seeded_norm_inputs(dim):
+        seminorm_readings.clear()
+        variant_norm(variant, m)
+        assert len(seminorm_readings) == 1 and seminorm_readings[0] <= 1.0
+
+
+def test_steep_witness_is_rescaled_until_its_check_passes(seminorm_readings):
+    from krdecomp.solver import _certified_potential
+
+    m = next(_seeded_norm_inputs(2))[1]
+    witness = kr0_norm(m).potential
+    steep = [1.01 * v for v in witness.values]
+    seminorm_readings.clear()
+    rescaled = _certified_potential(witness.points, steep)
+    assert len(seminorm_readings) == 2
+    assert seminorm_readings[0] > 1.0 >= seminorm_readings[1]
+    assert lipschitz_seminorm(rescaled.points, rescaled.values) == seminorm_readings[1]
+    assert _exactly_certified(rescaled, bank=False)
+
+
+@pytest.mark.parametrize("dim, variant, seed", [(2, "kr0", 5), (2, "kr", 23), (5, "kr0", 0), (5, "kr", 13)])
+def test_rescale_loop_ends_on_nearly_coincident_points(seminorm_readings, dim, variant, seed):
+    # the residual of one measure against another's decomposition keeps
+    # points about 1e-6 apart, where a rescale smaller than one ulp of the
+    # values would be rounded back if it were applied to the rounded values;
+    # on these seeds the loop takes several passes
+    from krdecomp import FamilyConfig, decompose_balanced, decompose_full, reconstruct, variant_norm
+
+    dom = Domain.unit(dim)
+    rng = random.Random(seed)
+    m1, m2 = (random_measure(rng, dom, 10, balanced=variant == "kr0") for _ in range(2))
+    decompose = decompose_balanced if variant == "kr0" else decompose_full
+    residual = m2 - reconstruct(decompose(m1, 1e-4, FamilyConfig(dom)))
+    seminorm_readings.clear()
+    witness = variant_norm(variant, residual).potential
+    assert seminorm_readings[-1] <= 1.0 < min(seminorm_readings[:-1], default=2.0)
+    assert _exactly_certified(witness, variant == "kr")
