@@ -248,7 +248,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     _check_nonnegative("--count", args.count)
     if args.size < 1:
-        return _fail("support size must be >= 1")
+        raise ValueError(f"option --size must be >= 1, not {args.size!r}")
     domain = _parse_box(args.box)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["kr0", "kr"], default="kr0")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--method", choices=["greedy", "l1"], default="greedy")
-    p.add_argument("--truncate", type=int, default=64, help="family size for --method l1")
+    p.add_argument("--truncate", type=int, default=64, help="pairs for --method l1")
     p.add_argument("--min-depth", type=int, default=0)
     p.add_argument("--offset", type=float, default=DEFAULT_OFFSET)
     p.add_argument("--out")

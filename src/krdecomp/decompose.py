@@ -1,20 +1,25 @@
 """Constructive atomic decompositions over the canonical pair family.
 
-A balanced measure is decomposed as a finite combination of normalized
-dipoles taken from the pair family: each transport-plan edge is snapped
-onto a family dipole, and the snap errors telescope down the dyadic
-depths until the certified residual is below tolerance.  A greedy
-decomposition reads every snap from one table of its own, so each
-(point, depth, family) is snapped once however many edges share the point.  A general
-measure additionally receives one point-mass coefficient per support
-atom.  An exact alternative solves the l1-minimal coefficient program on
-a truncated family.  Every construction ends in one record type whose
-residual is certified by a fresh norm solve.  Every constructor
-collects its coefficients in one term sink, which sums them per pair
-index, and a reconstruction decodes all its pairs in one call to the
-family's decoder, ``iter_pairs``.  Verification checks the
-norm-vs-l1 upper bound, the per-term lower bound with its explicit
-Lipschitz witness, and the invariance of the point-mass coefficient sum.
+Greedy: each transport-plan edge of a balanced measure is snapped onto a
+family dipole, and the snap errors telescope down the dyadic depths until
+the certified residual is below tolerance; every snap is read from one
+table per decomposition.  A general measure also gets one point-mass
+coefficient per support atom.
+
+The l1 program finds minimal coefficients over the first T pairs,
+(a, b) = ``pair_components(j)`` for j <= T.  Its rows are the d1 points x_a
+and d2 points y_b of those pairs, and the transport LP's column-generation
+driver runs it over the (a, b) grid: from the row duals u, the better sign
+of a cell's dipole prices at 1 - |u_a - u_b| / |x_a - y_b|.  The first LP
+holds the cheapest cells of each line and the cells (a, 0) and (0, b),
+which span the pair graph, so it is feasible for every covered measure.  A
+kr point mass at x_a is one column, recorded on pair (a, 0).  Among equal-l1
+optima, the terms are those of the vertex the simplex ends on.
+
+Every construction sums its coefficients per pair in one term sink and
+ends in one record, its residual certified by a fresh norm solve against
+one ``iter_pairs`` reconstruction.  Verification checks the norm-vs-l1
+bound, the per-term lower bound and the point-mass sum invariance.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .family import (
     FamilyConfig,
@@ -33,6 +37,7 @@ from .family import (
     SnapTable,
     family_pair,
     iter_pairs,
+    pair_components,
     pair_index,
     snap_radius,
     term_atoms,
@@ -46,7 +51,11 @@ from .solver import (
     kr0_norm,
     lip_norm,
     variant_norm,
-    _solve_lp,
+    _SEED_EDGES,
+    _columns,
+    _distances,
+    _generate,
+    _line_minima,
 )
 
 _DEPTH_CAP = 60
@@ -308,72 +317,73 @@ def decompose_full(
 # -- l1-minimal construction ----------------------------------------------
 
 
+def _l1_columns(ids: np.ndarray, sep: np.ndarray):
+    """The l1 program's costs and CSC columns, +c then -c per id, at unit
+    cost: c is (delta_{x_a} - delta_{y_b}) / sep[a, b], in rows a and na + b,
+    for id a * nb + b, and the point mass delta_{x_a}, in row a, for id na * nb + a."""
+    twice = np.repeat(ids, 2)
+    cost, start, index, value = _columns(twice, sep)
+    w = np.tile([1.0, -1.0], len(ids)) / cost  # cost: sep[a, b], or 1 for a point mass
+    value[start[:-1]] = w
+    cell = twice < sep.size
+    value[start[:-1][cell] + 1] = -w[cell]
+    return np.ones(len(twice)), start, index, value
+
+
 def decompose_l1_minimal(
     m: DiscreteSignedMeasure,
     truncation: int,
     variant: str,
     cfg: FamilyConfig,
 ) -> AtomicDecomposition:
-    """Exact minimum-l1 coefficients over atoms with pair index <= truncation.
-
-    Solves min sum|alpha| subject to the combination matching m atom by
-    atom; raises :class:`TruncationCoverageError` when the support is not
-    covered (naming the points) or no exact combination exists.
-    """
+    """Exact minimum-l1 coefficients over the pairs with index <= truncation
+    (the module docstring has the program); raises TruncationCoverageError
+    naming the uncovered support points, or when no exact combination exists."""
     if variant not in ("kr0", "kr"):
         raise ValueError("variant must be 'kr0' or 'kr'")
     if truncation < 1:
-        raise ValueError("truncation size must be >= 1")
+        raise ValueError(f"truncation (--truncate) must be >= 1, not {truncation!r}")
     if variant == "kr0" and not m.is_balanced(MASS_BALANCE_TOL):
         raise ValueError("balanced variant needs a balanced measure")
     if not m.atoms:
         return _certified(m, variant, (), cfg, "l1_minimal")
-    pairs = list(iter_pairs(cfg, range(1, truncation + 1)))
-    # one row per point, in first-seen order x_1, y_1, x_2, ...
-    point_rows: dict[Point, int] = {}
-    ends = np.array([
-        point_rows.setdefault(p, len(point_rows))
-        for pair in pairs
-        for p in (pair.x.coords, pair.y.coords)
-    ])
-    missing = [p for p, _ in m.atoms if p not in point_rows]
+    # the prefix ends on anti-diagonal s: it uses y_0 .. y_s, and x_s only
+    # when it holds pair (s, 0), the last of that diagonal
+    s = sum(pair_components(truncation))
+    na, nb = s + (pair_index(s, 0) <= truncation), s + 1
+    firsts = [pair_index(a, 0) for a in range(na)] + [pair_index(0, b) for b in range(nb)]
+    pairs = list(iter_pairs(cfg, firsts))
+    points = [pair.x.coords for pair in pairs[:na]] + [pair.y.coords for pair in pairs[na:]]
+    weights, known = dict(m.atoms), set(points)
+    missing = [p for p in weights if p not in known]
     if missing:
         raise TruncationCoverageError(
-            f"support points not covered by the first {truncation} atoms: {missing}"
+            f"support points not covered by the first {truncation} pairs: {missing}"
         )
-
-    # pair k owns column k * slots (its dipole) and, for kr, column
-    # k * slots + 1 (its delta_x)
-    rx, ry = ends[0::2], ends[1::2]
-    w = 1.0 / np.array([pair.separation for pair in pairs])
-    slots = 2 if variant == "kr" else 1
-    dip = slots * np.arange(len(pairs))
-    rows, cols, vals = [rx, ry], [dip, dip], [w, -w]
+    sep = _distances(np.array(points[:na]), np.array(points[na:]))
+    a, b = np.ogrid[:na, :nb]  # a * nb and b: the flat cells (a, 0) and (0, b)
+    sep[(a + b) * (a + b + 1) // 2 + a + 1 > truncation] = np.inf  # never priced
+    seed = _line_minima(sep, _SEED_EDGES)
+    ids = np.union1d(seed[np.isfinite(sep.ravel()[seed])], np.union1d(a * nb, b))
     if variant == "kr":
-        rows.append(rx)
-        cols.append(dip + 1)
-        vals.append(np.ones(len(pairs)))
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    nrows, ncols = len(point_rows), slots * len(pairs)
-    b = np.zeros(nrows)
-    for p, wp in m.atoms:
-        b[point_rows[p]] = wp
-    # split alpha = alpha_plus - alpha_minus
-    A_eq = sp.coo_matrix(
-        (np.concatenate([vals, -vals]),
-         (np.concatenate([rows, rows]), np.concatenate([cols, ncols + cols]))),
-        shape=(nrows, 2 * ncols),
-    ).tocsr()
+        ids = np.concatenate([ids, sep.size + np.arange(na)])
     try:
-        x = _solve_lp(np.ones(2 * ncols), A_eq, b).x
+        ids, sol, _ = _generate(
+            ids, lambda ids: _l1_columns(ids, sep),
+            np.array([weights.get(p, 0.0) for p in points]),
+            lambda u: 1.0 - np.abs(u[:na, None] - u[None, na:]) / sep,
+        )
     except LPSolveError as exc:
         raise TruncationCoverageError(
-            f"no exact combination over the first {truncation} atoms: {exc}"
+            f"no exact combination over the first {truncation} pairs: {exc}"
         ) from exc
-    alpha = (x[:ncols] - x[ncols:]).reshape(len(pairs), slots)
-    sink = _TermSink()
-    for k in np.flatnonzero(alpha.any(axis=1)):
-        sink.add(pairs[k].index, *map(float, alpha[k]))
+    x = np.array(sol.col_value)
+    sink, alpha = _TermSink(), x[0::2] - x[1::2]
+    for j, c in zip(ids[alpha != 0].tolist(), alpha[alpha != 0].tolist()):
+        if j < sep.size:
+            sink.add(pair_index(*divmod(j, nb)), c)
+        else:
+            sink.add(pair_index(j - sep.size, 0), alpha2=c)
     return _certified(m, variant, sink.terms(), cfg, "l1_minimal")
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize._highspy._core import (
     HighsModelStatus,
     MatrixFormat,
@@ -141,7 +140,7 @@ class DualPotential:
 class LPStats:
     """What one LP solve did: the size of the last LP HiGHS ran, how it
     ended, the simplex iterations summed over its runs, and the number of
-    runs (pricing rounds, for a transport LP)."""
+    runs (pricing rounds)."""
 
     rows: int
     cols: int
@@ -235,22 +234,15 @@ _HIGHS_OPTIONS = (
 # there with primal simplex
 _PRIMAL_SIMPLEX = 4
 
-# column generation: nearest edges per line in the first LP, most negative
+# column generation: cheapest cells per line in the first LP, most negative
 # reduced costs per line added by each pricing round
 _SEED_EDGES = 6
 _PRICED_EDGES = 3
 
 
-class _LPSolution(NamedTuple):
-    x: np.ndarray
-    duals: np.ndarray  # one per row; y with c - A^T y >= 0 at the optimum
-    lp: LPStats
-
-
 def _highs(c, start, index, value, b) -> _Highs:
     """A fresh HiGHS instance holding min c.x subject to A x = b and x >= 0,
     with A given column-wise by the CSC arrays start, index and value."""
-    start, index = (a.astype(np.int32, copy=False) for a in (start, index))
     rows, cols = len(b), len(c)
     for name, v in (("costs", c), ("matrix", value), ("right-hand side", b)):
         if not np.isfinite(v).all():
@@ -281,20 +273,6 @@ def _run(highs: _Highs, before: Optional[LPStats] = None) -> LPStats:
         highs.getNumRow(), highs.getNumCol(), highs.getNumNz(), name,
         iterations + highs.getInfo().simplex_iteration_count, rounds + 1,
     )
-
-
-def _solve_lp(c, A_eq, b_eq) -> _LPSolution:
-    """min c.x subject to A_eq x = b_eq and x >= 0, by one dual simplex run
-    of a fresh HiGHS instance."""
-    A = sp.csc_matrix(A_eq)
-    c, b = np.asarray(c, dtype=float), np.asarray(b_eq, dtype=float)
-    if c.shape != (A.shape[1],) or b.shape != (A.shape[0],):
-        # HiGHS reads cols costs and rows bounds from the buffers unchecked
-        raise ValueError(f"LP of shape {A.shape} with {c.shape} costs, {b.shape} bounds")
-    highs = _highs(c, A.indptr, A.indices, A.data, b)
-    lp = _run(highs)
-    sol = highs.getSolution()
-    return _LPSolution(np.array(sol.col_value), np.array(sol.row_dual), lp)
 
 
 def _line_minima(a: np.ndarray, k: int) -> np.ndarray:
@@ -346,6 +324,33 @@ def _columns(ids: np.ndarray, dist: np.ndarray):
     return cost, start, index, np.ones(start[-1])
 
 
+def _generate(ids: np.ndarray, columns, b: np.ndarray, reduced):
+    """Column generation, the one driver of every LP: min c.x subject to
+    A x = b, x >= 0 over the columns ``columns(ids)`` on one HiGHS instance.
+    Each round prices the flat cells of the grid ``reduced(row duals)`` not
+    in ids and adds the _PRICED_EDGES per line below -_DUAL_TOL, until none
+    is left.  Ids past the grid are never priced.  Returns ids, the HiGHS
+    solution (one value per column) and the LP stats."""
+    highs = _highs(*columns(ids), b)
+    lp = None
+    while True:
+        lp = _run(highs, lp)
+        sol = highs.getSolution()
+        cells = reduced(np.array(sol.row_dual))
+        cells.ravel()[ids[ids < cells.size]] = np.inf
+        new = _line_minima(cells, _PRICED_EDGES)
+        new = new[cells.ravel()[new] < -_DUAL_TOL]
+        if not new.size:
+            return ids, sol, lp
+        cost, start, index, value = columns(new)
+        highs.addCols(
+            len(cost), cost, np.zeros(len(cost)), np.full(len(cost), kHighsInf),
+            len(value), start[:-1], index, value,
+        )
+        highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
+        ids = np.concatenate([ids, new])
+
+
 def _transport_lp(
     sources: np.ndarray,
     supplies: Sequence[float],
@@ -356,9 +361,9 @@ def _transport_lp(
     """Min-cost transport from sources to sinks (rows of point arrays); with
     ``bank`` every node may additionally create/destroy mass at unit cost.
 
-    Solved by column generation on one HiGHS instance (see the module
-    docstring); the loop ends when no edge outside the LP prices below
-    -_DUAL_TOL.
+    Solved by :func:`_generate` over the ns x nt edge grid, from the
+    nearest edges of each line plus the bank columns or, without ``bank``,
+    the north-west-corner plan, so the first LP is feasible.
 
     Returns (flow[ns, nt], destroyed, created, source duals u[ns], LP stats);
     without ``bank`` destroyed and created are empty.
@@ -374,28 +379,13 @@ def _transport_lp(
         ids = np.concatenate([ids, nx + np.arange(ns + nt)])
     else:
         ids = np.union1d(ids, _north_west_corner(supplies, demands))
-    highs = _highs(*_columns(ids, dist), np.concatenate([supplies, demands]))
-    lp = None
-    while True:
-        lp = _run(highs, lp)
-        sol = highs.getSolution()
-        y = np.array(sol.row_dual)
-        reduced = dist - y[:ns, None] - y[None, ns:]
-        reduced.ravel()[ids[ids < nx]] = np.inf
-        new = _line_minima(reduced, _PRICED_EDGES)
-        new = new[reduced.ravel()[new] < -_DUAL_TOL]
-        if not new.size:
-            break
-        cost, start, index, value = _columns(new, dist)
-        highs.addCols(
-            len(new), cost, np.zeros(len(new)), np.full(len(new), kHighsInf),
-            len(value), start[:-1], index, value,
-        )
-        highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX)
-        ids = np.concatenate([ids, new])
+    ids, sol, lp = _generate(
+        ids, lambda ids: _columns(ids, dist), np.concatenate([supplies, demands]),
+        lambda y: dist - y[:ns, None] - y[None, ns:],
+    )
     x = np.zeros(nx + (ns + nt if bank else 0))
     x[ids] = sol.col_value
-    return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], y[:ns], lp
+    return x[:nx].reshape(ns, nt), x[nx : nx + ns], x[nx + ns :], np.array(sol.row_dual)[:ns], lp
 
 
 def _certified_potential(points: Sequence[Point], values: Sequence[float]) -> DualPotential:

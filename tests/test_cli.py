@@ -430,6 +430,35 @@ def test_decompose_bad_option_is_input_error(tmp_path, capsys, variant, option, 
     assert name in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_decompose_l1_bad_truncate_is_input_error(tmp_path, capsys, value):
+    path = write_measure(tmp_path, "m.json", dirac(DOM2, (0.0, 0.0)))
+    argv = ["decompose", "--input", path, "--variant", "kr", "--method", "l1",
+            f"--truncate={value}"]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == (
+        f"error: truncation (--truncate) must be >= 1, not {value}\n"
+    )
+
+
+def test_decompose_l1_uncovered_support_names_pairs(tmp_path, capsys):
+    path = write_measure(tmp_path, "m.json", dirac(DOM2, (0.123, 0.4)))
+    argv = ["decompose", "--input", path, "--variant", "kr", "--method", "l1",
+            "--truncate", "4"]
+    assert main(argv) == 1
+    err = _one_error_line(capsys)
+    assert err.startswith("error: support points not covered by the first 4 pairs: ")
+    assert "(0.123, 0.4)" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_gen_bad_size_is_input_error(tmp_path, capsys, value):
+    argv = ["gen", f"--size={value}", "--out", str(tmp_path / "g")]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == f"error: option --size must be >= 1, not {value}\n"
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [("norm", "--tol", "nan"), ("norm", "--tol", "-1"), ("verify", "--tol", "nan"),

@@ -1,6 +1,8 @@
 """Atomic decompositions: identity cases, chains, l1 program, verification."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -28,7 +30,7 @@ from krdecomp import (
 )
 from krdecomp import testfn_eval as witness_eval
 from krdecomp.family import iter_pairs, pair_components, term_atoms
-from conftest import random_measure
+from conftest import dense_l1, prefix_measure, random_measure
 
 DOM2 = Domain.unit(2)
 CFG2 = FamilyConfig(DOM2)
@@ -184,40 +186,11 @@ def test_l1_minimal_two_atom_sum():
     assert norm / dec.l1 >= norm / 2.0 - 1e-9
 
 
-def _l1_program_loop_reference(pairs, variant, m):
-    """The l1 program's A_eq and b assembled entry by entry."""
-    import numpy as np
-    import scipy.sparse as sp
-
-    point_rows = {}
-
-    def row_of(p):
-        return point_rows.setdefault(p, len(point_rows))
-
-    cols = []
-    for pair in pairs:
-        w = 1.0 / pair.separation
-        cols.append([(row_of(pair.x.coords), w), (row_of(pair.y.coords), -w)])
-        if variant == "kr":
-            cols.append([(row_of(pair.x.coords), 1.0)])
-    nrows, ncols = len(point_rows), len(cols)
-    b = np.zeros(nrows)
-    for p, w in m.atoms:
-        b[point_rows[p]] = w
-    rows_idx, cols_idx, vals = [], [], []
-    for jcol, entries in enumerate(cols):
-        for r, v in entries:
-            rows_idx += [r, r]
-            cols_idx += [jcol, ncols + jcol]
-            vals += [v, -v]
-    shape = (nrows, 2 * ncols)
-    return sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=shape).tocsr(), b
-
-
 @pytest.mark.parametrize("variant", ["kr0", "kr"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_l1_program_matches_loop_reference(monkeypatch, variant, dim):
     import numpy as np
+    import scipy.sparse as sp
 
     import krdecomp.decompose as decompose
 
@@ -226,20 +199,64 @@ def test_l1_program_matches_loop_reference(monkeypatch, variant, dim):
     if variant == "kr":
         m = m + delta_atom(30, cfg).measure.scaled(-0.2)
     seen = []
-    real = decompose._solve_lp
+    real = decompose._generate
     monkeypatch.setattr(
-        decompose, "_solve_lp", lambda c, A, b, **kw: seen.append((A, b)) or real(c, A, b, **kw)
+        decompose, "_generate",
+        lambda ids, columns, b, reduced: seen.append((columns, b, reduced))
+        or real(ids, columns, b, reduced),
     )
     decompose_l1_minimal(m, 300, variant, cfg)
-    (got, b), = seen
-    expected, expected_b = _l1_program_loop_reference(
-        [family_pair(j, cfg) for j in range(1, 301)], variant, m
-    )
-    assert got.shape == expected.shape
-    assert np.array_equal(got.indptr, expected.indptr)
-    assert np.array_equal(got.indices, expected.indices)
-    assert np.array_equal(got.data, expected.data)
+    (columns, b, reduced), = seen
+
+    # rows: the d1 points x_a by index a, then the d2 points y_b
+    pairs = [family_pair(j, cfg) for j in range(1, 301)]
+    xs = {pair.x.index: pair.x.coords for pair in pairs}
+    ys = {pair.y.index: pair.y.coords for pair in pairs}
+    na, nb = len(xs), len(ys)
+    assert sorted(xs) == list(range(na)) and sorted(ys) == list(range(nb))
+    point_rows = {p: a for a, p in xs.items()} | {p: na + b for b, p in ys.items()}
+    # every column id: each pair's dipole, then for kr each d1 point's mass
+    ids, cols = [], []
+    for pair in pairs:
+        w = 1.0 / pair.separation
+        ids.append(pair.x.index * nb + pair.y.index)
+        cols.append([(pair.x.index, w), (na + pair.y.index, -w)])
+    if variant == "kr":
+        ids += [na * nb + a for a in range(na)]
+        cols += [[(a, 1.0)] for a in range(na)]
+    rows_idx, cols_idx, vals = [], [], []
+    for k, entries in enumerate(cols):
+        for r, v in entries:
+            rows_idx += [r, r]
+            cols_idx += [2 * k, 2 * k + 1]
+            vals += [v, -v]
+    expected = sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=(na + nb, 2 * len(cols)))
+    expected = expected.tocsc()
+    expected_b = np.zeros(na + nb)
+    for p, w in m.atoms:
+        expected_b[point_rows[p]] = w
+
+    cost, start, index, value = columns(np.array(ids))
+    assert np.array_equal(start, expected.indptr)
+    assert np.array_equal(index, expected.indices)
+    # the program's separations come from solver._distances, the pairs'
+    # from math.dist: they may differ in the last bit
+    assert np.allclose(value, expected.data, rtol=1e-15, atol=0.0)
+    assert np.array_equal(np.sign(value), np.sign(expected.data))
+    assert (cost == 1.0).all()
     assert np.array_equal(b, expected_b)
+
+    # reduced costs: the better sign's c - A^T u on pairs j <= 300, and no
+    # negative price past them
+    u = np.random.default_rng(dim).normal(size=na + nb)
+    got = reduced(u)
+    dense = expected.toarray()
+    for k, pair in enumerate(pairs):
+        want = min(1.0 - dense[:, 2 * k] @ u, 1.0 - dense[:, 2 * k + 1] @ u)
+        assert math.isclose(got[pair.x.index, pair.y.index], want, rel_tol=1e-12, abs_tol=1e-12)
+    in_prefix = np.zeros((na, nb), dtype=bool)
+    in_prefix[[pair.x.index for pair in pairs], [pair.y.index for pair in pairs]] = True
+    assert (got[~in_prefix] == 1.0).all()
 
 
 def test_l1_minimal_uncovered_support_raises():
@@ -261,6 +278,91 @@ def test_l1_minimal_full_variant_delta():
     dec = decompose_l1_minimal(dirac(DOM2, x2.coords), 4, "kr", CFG2)
     assert dec.sum_alpha2() == pytest.approx(1.0, abs=1e-9)
     assert dec.l1 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_l1_minimal_unsolved_lp_is_a_coverage_error(monkeypatch):
+    import krdecomp.decompose as decompose
+    from krdecomp import LPSolveError
+
+    def fail(*args):
+        raise LPSolveError("LP solve failed (status 8): Infeasible")
+
+    monkeypatch.setattr(decompose, "_generate", fail)
+    m = delta_atom(9, CFG2).measure
+    with pytest.raises(TruncationCoverageError, match="over the first 64 pairs: LP solve"):
+        decompose_l1_minimal(m, 64, "kr0", CFG2)
+
+
+def _l1_reference_cases():
+    cases = [
+        (dim, variant, truncation, "unit")
+        for dim in (1, 2, 5)
+        for variant in ("kr0", "kr")
+        for truncation in (1, 2, 5, 64, 300, 1024, 4096)
+    ]
+    cases += [
+        (dim, variant, truncation, family)
+        for family in ("box", "offset")
+        for dim in (1, 2, 5)
+        for variant in ("kr0", "kr")
+        for truncation in (64, 1024)
+    ]
+    return cases
+
+
+_FAMILIES = {
+    "unit": lambda dim: FamilyConfig(Domain.unit(dim)),
+    "box": lambda dim: FamilyConfig(Domain((-1.5,) * dim, (2.0,) * dim)),
+    "offset": lambda dim: FamilyConfig(Domain.unit(dim), 0.3),
+}
+
+
+@pytest.mark.parametrize("dim, variant, truncation, family", _l1_reference_cases())
+def test_l1_matches_dense_program(dim, variant, truncation, family):
+    cfg = _FAMILIES[family](dim)
+    rng = random.Random(100 * dim + truncation)
+    m = prefix_measure(rng, cfg, truncation, 6, balanced=variant == "kr0")
+    dec = decompose_l1_minimal(m, truncation, variant, cfg)
+    want = dense_l1(cfg, truncation, variant, m)
+    assert math.isclose(dec.l1, want, rel_tol=1e-12, abs_tol=0.0)
+    assert dec.residual_norm <= 1e-9
+    # every atom has norm <= 1
+    assert dec.norm <= dec.l1 + dec.residual_norm + 1e-12
+
+
+@pytest.mark.parametrize("truncation", range(1, 41))
+def test_l1_first_lp_is_feasible_from_the_tree_cells(monkeypatch, truncation):
+    # with one seed cell per line, the cells (a, 0) and (0, b) are what make
+    # the first LP feasible for a measure on every point of the prefix
+    import krdecomp.decompose as decompose
+
+    monkeypatch.setattr(decompose, "_SEED_EDGES", 1)
+    m = prefix_measure(random.Random(truncation), CFG2, truncation, 10**6, balanced=True)
+    dec = decompose_l1_minimal(m, truncation, "kr0", CFG2)
+    assert dec.residual_norm <= 1e-9
+
+
+@pytest.mark.parametrize("dim, variant", [(1, "kr0"), (2, "kr0"), (2, "kr"), (5, "kr")])
+def test_l1_does_not_increase_with_truncation(dim, variant):
+    cfg = FamilyConfig(Domain.unit(dim))
+    m = prefix_measure(random.Random(dim), cfg, 20, 8, balanced=variant == "kr0")
+    values = [
+        decompose_l1_minimal(m, truncation, variant, cfg).l1
+        for truncation in (20, 21, 40, 100, 300, 1000, 3000)
+    ]
+    for before, after in zip(values, values[1:]):
+        assert after <= before * (1.0 + 1e-12)
+    assert values[-1] < values[0]
+
+
+def test_l1_program_at_a_hundred_thousand_pairs():
+    cfg = FamilyConfig(Domain.unit(2))
+    m = prefix_measure(random.Random(5), cfg, 3000, 6, balanced=True)
+    start = time.perf_counter()
+    dec = decompose_l1_minimal(m, 10**5, "kr0", cfg)
+    assert time.perf_counter() - start < 5.0
+    assert dec.residual_norm <= 1e-9
+    assert dec.l1 <= decompose_l1_minimal(m, 3000, "kr0", cfg).l1 * (1.0 + 1e-12)
 
 
 # -- reconstruct ------------------------------------------------------------

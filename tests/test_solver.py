@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -23,7 +24,7 @@ from krdecomp import (
     oracle_kr,
     oracle_kr0,
 )
-from conftest import random_measure
+from conftest import dense_l1, random_measure
 
 DOM2 = Domain.unit(2)
 DOM1_BIG = Domain((0.0,), (4.0,))
@@ -482,6 +483,28 @@ def _linprog_solve(c, A_eq, b_eq):
     return np.asarray(res.x), np.asarray(res.eqlin.marginals)
 
 
+class _DenseSolution(NamedTuple):
+    x: object
+    duals: object
+    lp: object
+
+
+def _solve_dense(c, A_eq, b_eq):
+    """min c.x subject to A_eq x = b_eq and x >= 0, every column in one dual
+    simplex run of a fresh HiGHS instance of the solver's seam."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    import krdecomp.solver as solver
+
+    A = sp.csc_matrix(A_eq)
+    start, index = (a.astype(np.int32) for a in (A.indptr, A.indices))
+    highs = solver._highs(np.asarray(c, float), start, index, A.data, np.asarray(b_eq, float))
+    lp = solver._run(highs)
+    sol = highs.getSolution()
+    return _DenseSolution(np.array(sol.col_value), np.array(sol.row_dual), lp)
+
+
 def _dense_transport_lp(solve):
     """A stand-in for solver._transport_lp that passes the full transport LP,
     every edge a column, to ``solve(c, A_eq, b_eq)`` in one run."""
@@ -522,12 +545,12 @@ def test_direct_highs_matches_linprog(monkeypatch, dim, norm, balanced, size):
     import krdecomp.solver as solver
 
     m = random_measure(random.Random(1000 * dim + size), Domain.unit(dim), size, balanced)
-    monkeypatch.setattr(solver, "_transport_lp", _dense_transport_lp(solver._solve_lp))
+    monkeypatch.setattr(solver, "_transport_lp", _dense_transport_lp(_solve_dense))
     direct = norm(m)
     solved = []
 
     def through_linprog(c, A_eq, b_eq):
-        sol = solver._solve_lp(c, A_eq, b_eq)
+        sol = _solve_dense(c, A_eq, b_eq)
         x, duals = _linprog_solve(c, A_eq, b_eq)
         assert np.array_equal(sol.x, x)
         assert np.array_equal(sol.duals, duals)
@@ -550,7 +573,7 @@ def test_column_generation_matches_dense_lp(monkeypatch, dim, norm, balanced, si
 
     m = random_measure(random.Random(1000 * dim + size), Domain.unit(dim), size, balanced)
     sparse = norm(m)
-    monkeypatch.setattr(solver, "_transport_lp", _dense_transport_lp(solver._solve_lp))
+    monkeypatch.setattr(solver, "_transport_lp", _dense_transport_lp(_solve_dense))
     dense = norm(m)
     assert math.isclose(sparse.value, dense.value, rel_tol=1e-12, abs_tol=0.0)
     assert sparse.gap <= 1e-8 and dense.gap <= 1e-8
@@ -564,8 +587,6 @@ def test_column_generation_matches_dense_lp(monkeypatch, dim, norm, balanced, si
 
 @pytest.mark.parametrize("variant", ["kr0", "kr"])
 def test_direct_highs_matches_linprog_on_l1_program(monkeypatch, variant):
-    import numpy as np
-
     import krdecomp.decompose as decompose
     from krdecomp import FamilyConfig, decompose_l1_minimal, delta_atom
 
@@ -573,21 +594,19 @@ def test_direct_highs_matches_linprog_on_l1_program(monkeypatch, variant):
     m = delta_atom(9, cfg).measure.scaled(0.6) + delta_atom(21, cfg).measure
     if variant == "kr":
         m = m + delta_atom(30, cfg).measure.scaled(-0.2)
-    real = decompose._solve_lp
+    real = decompose._generate
     solved = []
 
-    def through_linprog(c, A_eq, b_eq):
-        sol = real(c, A_eq, b_eq)
-        x, duals = _linprog_solve(c, A_eq, b_eq)
-        assert np.array_equal(sol.x, x)
-        assert np.array_equal(sol.duals, duals)
-        solved.append(sol.lp)
-        return sol
+    def recording(*args):
+        ids, sol, lp = real(*args)
+        solved.append(lp)
+        return ids, sol, lp
 
-    monkeypatch.setattr(decompose, "_solve_lp", through_linprog)
+    monkeypatch.setattr(decompose, "_generate", recording)
     dec = decompose_l1_minimal(m, 300, variant, cfg)
     assert len(solved) == 1 and solved[0].status == "Optimal"
     assert dec.residual_norm <= 1e-9
+    assert math.isclose(dec.l1, dense_l1(cfg, 300, variant, m), rel_tol=1e-12, abs_tol=0.0)
 
 
 @pytest.mark.parametrize("norm, balanced, bank", [(kr0_norm, True, 0), (kr_norm, False, 1)])
