@@ -124,10 +124,13 @@ def _cum_count(depth: int, n: int, family: FamilyTag) -> int:
 
 
 def _depth_of_index(k: int, n: int, family: FamilyTag) -> int:
-    depth = 0
-    while _cum_count(depth, n, family) <= k:
-        depth += 1
-    return depth
+    """The least depth L whose cumulative count exceeds k.  Either
+    family's count through depth L lies in [2^(L*n), 2^((L+1)*n)], so with
+    b = bits(k) and L0 = ceil(b/n), L0 qualifies (2^(L0*n) >= 2^b > k) and
+    L0 - 2 does not (2^((L0-1)*n) <= 2^(b-1) <= k): one exact integer
+    check decides between L0 - 1 and L0."""
+    depth = -(-k.bit_length() // n)
+    return depth - 1 if depth > 0 and _cum_count(depth - 1, n, family) > k else depth
 
 
 def _values_per_axis(depth: int, family: FamilyTag) -> tuple[int, int]:
@@ -361,8 +364,8 @@ class SnapTable:
     """Nearest family points of box points, each (point, depth, family)
     computed once: a point is checked against the box and put in relative
     coordinates on its first lookup, each snap on its first request.  A
-    greedy decomposition keeps one table for all its chains; nothing
-    outlives it."""
+    greedy decomposition keeps one table for the snaps of all its plan
+    edges; nothing outlives it."""
 
     def __init__(self, cfg: FamilyConfig) -> None:
         self.cfg = cfg

@@ -745,3 +745,24 @@ def test_verify_rejects_kr0_term_with_four_entries(tmp_path, capsys):
     dec.write_text(json.dumps(doc))
     assert main(["verify", "--input", mpath, "--dec", dpath]) == 1
     assert _one_error_line(capsys) == "error: decomposition term #1 is not [j, a1, a2]\n"
+
+
+def test_verify_ratio_floor_fails_a_greedy_kr_record(tmp_path, capsys):
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr")
+    with open(dpath) as f:
+        assert json.load(f)["ratio"] < 0.8  # point masses pay the full variation
+    assert main(["verify", "--input", mpath, "--dec", dpath, "--ratio-floor", "0.9"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["upper_ok"] is True and report["ratio_floor_ok"] is False
+
+
+def test_verify_greedy_kr0_record_meets_the_snap_floor(tmp_path, capsys):
+    from krdecomp import kr0_norm, measure_from_json
+
+    mpath, dpath = _greedy_file(tmp_path, capsys, "kr0")
+    with open(mpath) as f:
+        norm = kr0_norm(measure_from_json(f.read())).value
+    floor = norm / (norm + 0.45 * 1e-4)  # l1 <= ||m|| + 0.45 * tol
+    assert main(["verify", "--input", mpath, "--dec", dpath, "--ratio-floor", repr(floor)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["upper_ok"] is True and report["ratio_floor_ok"] is True

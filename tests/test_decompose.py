@@ -1,4 +1,4 @@
-"""Atomic decompositions: identity cases, chains, l1 program, verification."""
+"""Atomic decompositions: identity cases, greedy dipoles, l1 program, verification."""
 
 import math
 import random
@@ -80,6 +80,41 @@ def test_balanced_random_six_points():
     dec = decompose_balanced(m, 1e-3, CFG2)
     assert dec.residual_norm <= 1e-3
     assert kr0_norm(m).value <= dec.l1 + 1e-3
+
+
+def _snap_floor(dec, tol):
+    """The ratio a greedy kr0 decomposition guarantees: one dipole per edge
+    of the optimal plan gives l1 <= ||m|| + 0.45*tol."""
+    return dec.norm / (dec.norm + 0.45 * tol)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_greedy_kr0_ratio_floor_and_terms(dim, tol):
+    cfg = FamilyConfig(Domain.unit(dim))
+    rng = random.Random(70 + dim)
+    for size in (10, 20, 40):
+        m = random_measure(rng, cfg.domain, size, balanced=True)
+        dec = decompose_balanced(m, tol, cfg)
+        assert dec.residual_norm <= tol
+        assert dec.ratio >= _snap_floor(dec, tol) - 1e-12
+        assert len(dec.terms) <= len(kr0_norm(m).plan.edges)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+def test_greedy_kr0_ratio_floor_close_dipoles(dim, eps):
+    cfg = FamilyConfig(Domain.unit(dim))
+    rng = random.Random(80 + dim)
+    for tol in (1e-4, 1e-8):
+        x = tuple(rng.uniform(0.0, 0.9) for _ in range(dim))
+        step = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        scale = eps / math.hypot(*step)
+        m = dipole(cfg.domain, x, tuple(a + scale * abs(b) for a, b in zip(x, step)), 0.8)
+        dec = decompose_balanced(m, tol, cfg)
+        assert dec.residual_norm <= tol
+        assert dec.ratio >= _snap_floor(dec, tol) - 1e-12
+        assert len(dec.terms) == 1
 
 
 def test_record_carries_variant_norm_and_ratio():
@@ -560,7 +595,10 @@ def test_verify_bounds_greedy_random():
     dec = decompose_balanced(m, 1e-4, CFG2)
     report = verify_bounds(m, dec, 1e-9, check_terms=10)
     assert report.upper_ok
-    assert 0.0 < report.ratio <= 1.0 + 1e-9
+    # a snapped dipole can be shorter than its edge, so only the residual
+    # bounds the ratio from above; the snap budget bounds it from below
+    assert report.norm <= report.l1 + report.residual_norm
+    assert report.ratio >= _snap_floor(dec, 1e-4) - 1e-12
     assert report.per_term_lower_ok
 
 
@@ -656,46 +694,34 @@ def test_greedy_rejects_bad_options_by_name(construct, tol, min_depth, name):
         construct(m, tol, CFG2, min_depth)
 
 
-# -- the snap table under the greedy chains ---------------------------------
+# -- the snap table under the greedy dipoles --------------------------------
 
 
-def _reference_chains(plan, tol, cfg, min_depth, sink):
-    """The greedy chains with one nearest_family_point call per snap and
-    no table: a loop reference for decompose._greedy_dipoles."""
+def _reference_dipoles(plan, tol, cfg, min_depth, sink):
+    """One dipole per plan edge with one nearest_family_point call per snap
+    and no table: a loop reference for decompose._greedy_dipoles."""
     import math
 
-    from krdecomp.decompose import _CHAIN_FRACTION, _DEPTH_CAP
+    from krdecomp.decompose import _DEPTH_CAP, _SNAP_FRACTION
     from krdecomp.family import nearest_family_point, snap_radius
-
-    def chain(p, cur, d_cur, depth, c, budget):
-        tag = cur.family
-        other = "d2" if tag == "d1" else "d1"
-        while abs(c) * d_cur > budget and depth < _DEPTH_CAP:
-            depth += 1
-            nxt, d_nxt = nearest_family_point(p, depth, tag, cfg)
-            if nxt.coords == cur.coords:
-                continue
-            mid, _ = nearest_family_point(p, depth, other, cfg)
-            sink.emit(nxt, mid, c)
-            sink.emit(mid, cur, c)
-            cur, d_cur = nxt, d_nxt
 
     costs = [e.cost() for e in plan.edges]
     total = math.fsum(costs)
     for e, cost in zip(plan.edges, costs):
         p, q, mass = e.target, e.source, e.mass
-        budget = _CHAIN_FRACTION * tol * cost / total
+        budget = _SNAP_FRACTION * tol * cost / total
         depth = min_depth
         while snap_radius(depth, cfg, "d2") > math.dist(p, q) / 4.0 and depth < _DEPTH_CAP:
             depth += 1
-        starts = []
-        for fp, fq in (("d1", "d2"), ("d2", "d1")):
-            starts.append((nearest_family_point(p, depth, fp, cfg),
-                           nearest_family_point(q, depth, fq, cfg)))
-        (sp, dp), (sq, dq) = min(starts, key=lambda s: s[0][1] + s[1][1])
+        for depth in range(depth, _DEPTH_CAP + 1):
+            starts = []
+            for fp, fq in (("d1", "d2"), ("d2", "d1")):
+                starts.append((nearest_family_point(p, depth, fp, cfg),
+                               nearest_family_point(q, depth, fq, cfg)))
+            (sp, dp), (sq, dq) = min(starts, key=lambda s: s[0][1] + s[1][1])
+            if abs(mass) * (dp + dq) <= budget:
+                break
         sink.emit(sp, sq, mass)
-        chain(p, sp, dp, depth, mass, budget / 2)
-        chain(q, sq, dq, depth, -mass, budget / 2)
 
 
 def _snap_plan(m, tol, cfg, min_depth, sink):
@@ -733,15 +759,16 @@ def test_chains_match_loop_reference(dim, min_depth):
         for plan, plan_tol in plans:
             table, loop = _TermSink(), _TermSink()
             _greedy_dipoles(plan, plan_tol, SnapTable(cfg), min_depth, table)
-            _reference_chains(plan, plan_tol, cfg, min_depth, loop)
+            _reference_dipoles(plan, plan_tol, cfg, min_depth, loop)
             assert table.terms() and table.terms() == loop.terms()
+            assert len(table.terms()) <= len(plan.edges)
         # and end to end, through each constructor
         loop = _TermSink()
-        _reference_chains(kr0_norm(balanced).plan, tol, cfg, min_depth, loop)
+        _reference_dipoles(kr0_norm(balanced).plan, tol, cfg, min_depth, loop)
         assert decompose_balanced(balanced, tol, cfg, min_depth).terms == loop.terms()
         loop = _TermSink()
-        _reference_chains(_snap_plan(general, tol, cfg, min_depth, loop), tol / 2, cfg,
-                          min_depth, loop)
+        _reference_dipoles(_snap_plan(general, tol, cfg, min_depth, loop), tol / 2, cfg,
+                           min_depth, loop)
         assert decompose_full(general, tol, cfg, min_depth).terms == loop.terms()
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from krdecomp import (
     pair_index,
     snap_radius,
 )
-from krdecomp.family import _coords, _index_of, iter_pairs
+from krdecomp.family import _coords, _cum_count, _depth_of_index, _index_of, iter_pairs
 
 CFG1 = FamilyConfig(Domain.unit(1))
 CFG2 = FamilyConfig(Domain.unit(2))
@@ -96,6 +97,31 @@ def test_enumeration_indexing_roundtrip(k, dim):
     for which, point in (("d1", d1_point(k, cfg)), ("d2", d2_point(k, cfg))):
         assert point.index == k
         assert _index_of(point.ticks, point.depth, dim, which) == k
+
+
+def _scan_depth(k, n, family, depth=0):
+    """The least depth at or above ``depth`` whose cumulative count exceeds
+    k, by scanning upward."""
+    while _cum_count(depth, n, family) <= k:
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("family", ["d1", "d2"])
+def test_depth_of_index_matches_scan(dim, family):
+    depth = 0
+    for k in range(10**5):
+        depth = _scan_depth(k, dim, family, depth)  # the scan, resumed
+        assert _depth_of_index(k, dim, family) == depth
+    rng = random.Random(dim)
+    for _ in range(2000):
+        k = rng.getrandbits(rng.randint(1, 256))
+        assert _depth_of_index(k, dim, family) == _scan_depth(k, dim, family)
+    for depth in range(64):  # both sides of every count
+        count = _cum_count(depth, dim, family)
+        assert _depth_of_index(count - 1, dim, family) == depth
+        assert _depth_of_index(count, dim, family) == depth + 1
 
 
 def test_family_pair_anti_diagonal_order():
